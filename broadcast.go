@@ -2,6 +2,7 @@ package safecube
 
 import (
 	"repro/internal/broadcast"
+	"repro/internal/topo"
 )
 
 // BroadcastResult reports a safety-level broadcast (see Broadcast).
@@ -37,7 +38,14 @@ func (r *BroadcastResult) Covered() bool {
 // delivered by individual safety-level unicasts, so the combined
 // operation covers every reachable node whenever unicast admission
 // holds — always, below n faults.
+//
+// The sequential model is binary-only: on a generalized hypercube
+// Broadcast returns nil. Use Distributed().Broadcast there, whose
+// level-ranked tree covers all m_i - 1 siblings of a dimension.
 func (c *Cube) Broadcast(s NodeID) *BroadcastResult {
+	if _, binary := c.t.(*topo.Cube); !binary {
+		return nil
+	}
 	lv := c.ComputeLevels()
 	res := broadcast.New(lv.as, true).Broadcast(s)
 	out := &BroadcastResult{

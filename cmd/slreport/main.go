@@ -5,7 +5,7 @@
 //
 //	slreport [-experiment all|fig1|fig2|table1|safesets|rounds|fig3|
 //	          guarantee|thm4|fig4|fig5|compare|distributed|ablate|
-//	          broadcast|traffic|ghcube|churn|diagnose]
+//	          broadcast|traffic|gh|churn|diagnose]
 //	         [-seed N] [-trials N] [-csv]
 //
 // The default regenerates everything with the seeds and trial counts
@@ -31,7 +31,7 @@ func main() {
 func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("slreport", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	experiment := fs.String("experiment", "all", "experiment to run (all, fig1, fig2, table1, safesets, rounds, fig3, guarantee, thm4, fig4, fig5, compare, distributed, ablate, broadcast, traffic, ghcube, churn, diagnose)")
+	experiment := fs.String("experiment", "all", "experiment to run (all, fig1, fig2, table1, safesets, rounds, fig3, guarantee, thm4, fig4, fig5, compare, distributed, ablate, broadcast, traffic, gh, churn, diagnose)")
 	seed := fs.Uint64("seed", 0, "RNG seed (0 = the recorded default)")
 	trials := fs.Int("trials", 0, "Monte-Carlo trials per point (0 = the recorded default)")
 	csv := fs.Bool("csv", false, "emit CSV instead of formatted tables")
@@ -73,7 +73,7 @@ func run(args []string, out, errOut io.Writer) int {
 		"traffic": func() []*expt.Table {
 			return []*expt.Table{expt.Traffic(cfg)}
 		},
-		"ghcube": func() []*expt.Table {
+		"gh": func() []*expt.Table {
 			return []*expt.Table{expt.GHSweep(cfg), expt.GHDistributed(cfg)}
 		},
 		"churn": func() []*expt.Table {
@@ -85,7 +85,7 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 	order := []string{"fig1", "fig2", "table1", "safesets", "rounds", "fig3",
 		"guarantee", "thm4", "fig4", "fig5", "compare", "distributed", "ablate",
-		"broadcast", "traffic", "ghcube", "churn", "diagnose"}
+		"broadcast", "traffic", "gh", "churn", "diagnose"}
 
 	var selected []string
 	if *experiment == "all" {

@@ -54,21 +54,7 @@ func run(args []string, out io.Writer) (int, error) {
 		return 2, err
 	}
 
-	if *radix != "" {
-		return runGeneralized(out, ghOptions{
-			shape:     *radix,
-			faultList: *faultList,
-			linkList:  *linkList,
-			random:    *random,
-			seed:      *seed,
-			from:      *from,
-			to:        *to,
-			levels:    *levels,
-			trace:     *trace,
-		})
-	}
-
-	c, err := safecube.New(*n)
+	c, err := newCube(*n, *radix)
 	if err != nil {
 		return 2, err
 	}
@@ -100,9 +86,18 @@ func run(args []string, out io.Writer) (int, error) {
 		}
 	}
 
+	// The two lattices keep their historical transcript wording: a GH
+	// is introduced by its shape and size and counts distance, a binary
+	// cube by its fault summary and counts Hamming distance H.
+	gh := *radix != ""
 	lv := c.ComputeLevels()
-	fmt.Fprintf(out, "%s; levels stabilized in %d rounds; connected: %v\n",
-		c, lv.Rounds(), c.Connected())
+	if gh {
+		fmt.Fprintf(out, "GH(%s), %d nodes, levels stabilized in %d rounds, connected: %v\n",
+			*radix, c.Nodes(), lv.Rounds(), c.Connected())
+	} else {
+		fmt.Fprintf(out, "%s; levels stabilized in %d rounds; connected: %v\n",
+			c, lv.Rounds(), c.Connected())
+	}
 	if *levels {
 		for a := 0; a < c.Nodes(); a++ {
 			id := safecube.NodeID(a)
@@ -140,15 +135,21 @@ func run(args []string, out io.Writer) (int, error) {
 	} else {
 		r = c.Unicast(src, dst)
 	}
-	fmt.Fprintf(out, "unicast %s -> %s: H = %d, condition %s, outcome %s\n",
-		*from, *to, r.Hamming, r.Condition, r.Outcome)
+	dist := "H ="
+	if gh {
+		dist = "distance"
+	}
+	fmt.Fprintf(out, "unicast %s -> %s: %s %d, condition %s, outcome %s\n",
+		*from, *to, dist, r.Hamming, r.Condition, r.Outcome)
 	switch {
 	case r.Err != nil:
 		fmt.Fprintf(out, "  error: %v\n", r.Err)
 		return 1, nil
 	case r.Outcome == safecube.Failure:
 		fmt.Fprintln(out, "  aborted at the source: no admission condition held")
-		fmt.Fprintln(out, "  (cause: too many faults in the neighborhood, or a network partition)")
+		if !gh {
+			fmt.Fprintln(out, "  (cause: too many faults in the neighborhood, or a network partition)")
+		}
 		return 1, nil
 	default:
 		fmt.Fprintf(out, "  path (%d hops): %s\n", r.Hops(), r.PathString(c))
@@ -156,106 +157,17 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 }
 
-// ghOptions carries the flag set into the generalized path; every
-// binary-cube flag works with -radix too.
-type ghOptions struct {
-	shape, faultList, linkList string
-	random                     int
-	seed                       uint64
-	from, to                   string
-	levels, trace              bool
-}
-
-// runGeneralized handles the Section 4.2 topology: parse the shape,
-// apply node/link/random faults, and route — with the same -levels and
-// -trace features as the binary path (the generic core serves both).
-func runGeneralized(out io.Writer, o ghOptions) (int, error) {
-	radix, err := safecube.ParseRadix(o.shape)
+// newCube builds Q_n, or the generalized hypercube of the given shape
+// when one is set.
+func newCube(n int, shape string) (*safecube.Cube, error) {
+	if shape == "" {
+		return safecube.New(n)
+	}
+	radix, err := safecube.ParseRadix(shape)
 	if err != nil {
-		return 2, err
+		return nil, err
 	}
-	g, err := safecube.NewGeneralized(radix...)
-	if err != nil {
-		return 2, err
-	}
-	if o.faultList != "" {
-		if err := g.FailNamed(splitList(o.faultList)...); err != nil {
-			return 2, err
-		}
-	}
-	for _, l := range splitList(o.linkList) {
-		ends := strings.SplitN(l, "-", 2)
-		if len(ends) != 2 {
-			return 2, fmt.Errorf("bad link %q, want addr-addr", l)
-		}
-		a, err := g.Parse(ends[0])
-		if err != nil {
-			return 2, err
-		}
-		b, err := g.Parse(ends[1])
-		if err != nil {
-			return 2, err
-		}
-		if err := g.FailLink(a, b); err != nil {
-			return 2, err
-		}
-	}
-	if o.random > 0 {
-		if err := g.InjectRandomFaults(o.seed, o.random); err != nil {
-			return 2, err
-		}
-	}
-	lv := g.ComputeLevels()
-	fmt.Fprintf(out, "GH(%s), %d nodes, levels stabilized in %d rounds, connected: %v\n",
-		o.shape, g.Nodes(), lv.Rounds(), g.Connected())
-	if o.levels {
-		for a := 0; a < g.Nodes(); a++ {
-			id := safecube.GNodeID(a)
-			mark := ""
-			if g.NodeFaulty(id) {
-				mark = " (faulty)"
-			} else if lv.Safe(id) {
-				mark = " (safe)"
-			}
-			own := ""
-			if lv.OwnLevel(id) != lv.Level(id) {
-				own = fmt.Sprintf(" own=%d", lv.OwnLevel(id))
-			}
-			fmt.Fprintf(out, "  S(%s) = %d%s%s\n", g.Format(id), lv.Level(id), own, mark)
-		}
-	}
-	if o.from == "" || o.to == "" {
-		return 0, nil
-	}
-	src, err := g.Parse(o.from)
-	if err != nil {
-		return 2, err
-	}
-	dst, err := g.Parse(o.to)
-	if err != nil {
-		return 2, err
-	}
-	var r *safecube.GRoute
-	if o.trace {
-		var tr *safecube.RouteTrace
-		r, tr = g.UnicastTraced(src, dst)
-		fmt.Fprint(out, tr.Format(func(a int) string { return g.Format(safecube.GNodeID(a)) }))
-	} else {
-		r = g.Unicast(src, dst)
-	}
-	fmt.Fprintf(out, "unicast %s -> %s: distance %d, condition %s, outcome %s\n",
-		o.from, o.to, r.Distance, r.Condition, r.Outcome)
-	switch {
-	case r.Err != nil:
-		fmt.Fprintf(out, "  error: %v\n", r.Err)
-		return 1, nil
-	case r.Outcome == safecube.Failure:
-		fmt.Fprintln(out, "  aborted at the source: no admission condition held")
-		return 1, nil
-	default:
-		fmt.Fprintf(out, "  path (%d hops): %s\n", r.Hops(), r.PathString(g))
-		return 0, nil
-	}
+	return safecube.NewGeneralized(radix...)
 }
 
 func splitList(s string) []string {

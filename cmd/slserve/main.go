@@ -55,7 +55,9 @@
 // Addresses use the topology's own notation: n-bit binary strings for
 // a cube ("0110"), per-dimension digit strings for a generalized
 // hypercube ("121"). Fault posts return 202: churn is asynchronous and
-// the snapshot generation in /healthz advances once it is applied.
+// the snapshot generation in /healthz advances once it is applied. A
+// fault post never blocks: with the churn queue full it answers 429
+// with Retry-After.
 //
 // Self-healing monitor (-monitor-target URL): probe an upstream
 // slserve's /probe endpoint for every node, declare a node into THIS
@@ -103,6 +105,7 @@ import (
 
 	safecube "repro"
 	"repro/internal/diagnose"
+	"repro/internal/faults"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 )
@@ -116,15 +119,6 @@ func main() {
 		}
 	}
 	os.Exit(code)
-}
-
-// naming is the slice of both facades the handler needs: address
-// parsing and formatting over a shared NodeID space (NodeID and
-// GNodeID are the same type).
-type naming interface {
-	Parse(addr string) (safecube.NodeID, error)
-	Format(a safecube.NodeID) string
-	Nodes() int
 }
 
 // run executes one invocation; split from main so the CLI is testable.
@@ -173,13 +167,25 @@ func run(args []string, out io.Writer) (int, error) {
 			Registry:    reg,
 		})
 	}
-	var (
-		nm     naming
-		srv    *safecube.Server
-		header string
-		err    error
-	)
-	opts := safecube.ServeOptions{
+	c, err := newCube(*n, *radix)
+	if err != nil {
+		return 2, err
+	}
+	if *faultList != "" {
+		if err := c.FailNamed(splitList(*faultList)...); err != nil {
+			return 2, err
+		}
+	}
+	if *random > 0 {
+		if err := c.InjectRandomFaults(*seed, *random); err != nil {
+			return 2, err
+		}
+	}
+	header := c.String()
+	if *radix != "" {
+		header = fmt.Sprintf("GH(%s), %d nodes, %d node faults", *radix, c.Nodes(), c.NodeFaults())
+	}
+	srv, err := c.Serve(safecube.ServeOptions{
 		QueueDepth: *queue,
 		Workers:    *workers,
 		Rate:       *rate,
@@ -187,48 +193,7 @@ func run(args []string, out io.Writer) (int, error) {
 		Registry:   reg,
 		Flight:     flight,
 		NoFlight:   *noFlight,
-	}
-	if *radix != "" {
-		rx, rerr := safecube.ParseRadix(*radix)
-		if rerr != nil {
-			return 2, rerr
-		}
-		g, gerr := safecube.NewGeneralized(rx...)
-		if gerr != nil {
-			return 2, gerr
-		}
-		if *faultList != "" {
-			if err := g.FailNamed(splitList(*faultList)...); err != nil {
-				return 2, err
-			}
-		}
-		if *random > 0 {
-			if err := g.InjectRandomFaults(*seed, *random); err != nil {
-				return 2, err
-			}
-		}
-		srv, err = g.Serve(opts)
-		nm = g
-		header = fmt.Sprintf("GH(%s), %d nodes, %d node faults", *radix, g.Nodes(), g.NodeFaults())
-	} else {
-		c, cerr := safecube.New(*n)
-		if cerr != nil {
-			return 2, cerr
-		}
-		if *faultList != "" {
-			if err := c.FailNamed(splitList(*faultList)...); err != nil {
-				return 2, err
-			}
-		}
-		if *random > 0 {
-			if err := c.InjectRandomFaults(*seed, *random); err != nil {
-				return 2, err
-			}
-		}
-		srv, err = c.Serve(opts)
-		nm = c
-		header = c.String()
-	}
+	})
 	if err != nil {
 		return 2, err
 	}
@@ -255,11 +220,11 @@ func run(args []string, out io.Writer) (int, error) {
 		base := strings.TrimRight(*monTarget, "/")
 		mon, err = monitor.New(
 			monitor.HTTPProber{URL: func(node int) string {
-				return base + "/probe?node=" + url.QueryEscape(nm.Format(safecube.NodeID(node)))
+				return base + "/probe?node=" + url.QueryEscape(c.Format(safecube.NodeID(node)))
 			}},
 			dedup,
 			monitor.Options{
-				Nodes:    nm.Nodes(),
+				Nodes:    c.Nodes(),
 				FailK:    *monK,
 				RecoverK: *monRecover,
 				Interval: *monEvery,
@@ -315,7 +280,7 @@ func run(args []string, out io.Writer) (int, error) {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	mux := newHandler(srv, nm, reg, handlerOpts{
+	mux := newHandler(srv, c, reg, handlerOpts{
 		queueCap: queueCap,
 		deadline: *deadline,
 		pprof:    *pprofOn,
@@ -387,17 +352,17 @@ type routeJSON struct {
 	Err       string   `json:"err,omitempty"`
 }
 
-func routeWire(r *safecube.Route, nm naming) routeJSON {
+func routeWire(r *safecube.Route, c *safecube.Cube) routeJSON {
 	out := routeJSON{
-		Src:       nm.Format(r.Source),
-		Dst:       nm.Format(r.Dest),
+		Src:       c.Format(r.Source),
+		Dst:       c.Format(r.Dest),
 		Outcome:   r.Outcome.String(),
 		Condition: r.Condition.String(),
 		Distance:  r.Hamming,
 		Hops:      r.Hops(),
 	}
 	for _, a := range r.Path {
-		out.Path = append(out.Path, nm.Format(a))
+		out.Path = append(out.Path, c.Format(a))
 	}
 	if r.Err != nil {
 		out.Err = r.Err.Error()
@@ -426,7 +391,7 @@ type handlerOpts struct {
 
 // newHandler builds the serving mux on top of the registry's /metrics
 // and /vars exposition.
-func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts handlerOpts) http.Handler {
+func newHandler(srv *safecube.Server, c *safecube.Cube, reg *safecube.Registry, opts handlerOpts) http.Handler {
 	mux := reg.Mux()
 
 	node := func(w http.ResponseWriter, r *http.Request, key string) (safecube.NodeID, bool) {
@@ -435,7 +400,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			httpErr(w, http.StatusBadRequest, fmt.Errorf("missing %q parameter", key))
 			return 0, false
 		}
-		a, err := nm.Parse(v)
+		a, err := c.Parse(v)
 		if err != nil {
 			httpErr(w, http.StatusBadRequest, err)
 			return 0, false
@@ -495,9 +460,9 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"generation": srv.Generation(),
+			"generation": rt.Generation,
 			"request_id": rt.RequestID,
-			"route":      routeWire(rt, nm),
+			"route":      routeWire(rt, c),
 		})
 	}))
 
@@ -514,12 +479,12 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad pair %q, want SRC-DST", item))
 				return
 			}
-			src, err := nm.Parse(ab[0])
+			src, err := c.Parse(ab[0])
 			if err != nil {
 				httpErr(w, http.StatusBadRequest, err)
 				return
 			}
-			dst, err := nm.Parse(ab[1])
+			dst, err := c.Parse(ab[1])
 			if err != nil {
 				httpErr(w, http.StatusBadRequest, err)
 				return
@@ -536,12 +501,16 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			serveErr(w, err)
 			return
 		}
+		// Every route of a batch shares one snapshot; an empty batch
+		// routed on none and reports the current generation.
+		gen := srv.Generation()
 		wire := make([]routeJSON, len(routes))
 		for i, rt := range routes {
-			wire[i] = routeWire(rt, nm)
+			wire[i] = routeWire(rt, c)
+			gen = rt.Generation
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"generation": srv.Generation(),
+			"generation": gen,
 			"routes":     wire,
 		})
 	}))
@@ -561,6 +530,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			serveErr(w, err)
 			return
 		}
+		gen := srv.Generation()
 		wire := make([]routeJSON, 0, len(all)-1)
 		delivered := 0
 		for _, rt := range all {
@@ -570,10 +540,11 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			if rt.Outcome != safecube.Failure {
 				delivered++
 			}
-			wire = append(wire, routeWire(rt, nm))
+			wire = append(wire, routeWire(rt, c))
+			gen = rt.Generation
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"generation": srv.Generation(),
+			"generation": gen,
 			"delivered":  delivered,
 			"routes":     wire,
 		})
@@ -585,33 +556,38 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 		if !ok {
 			return
 		}
-		var err error
+		ev := faults.ChurnEvent{A: a}
 		switch op {
 		case "fail-node":
-			err = srv.FailNode(a)
+			ev.Kind = faults.DeltaFailNode
 		case "recover-node":
-			err = srv.RecoverNode(a)
+			ev.Kind = faults.DeltaRecoverNode
 		case "fail-link", "recover-link":
 			b, ok := node(w, r, "b")
 			if !ok {
 				return
 			}
-			if op == "fail-link" {
-				err = srv.FailLink(a, b)
-			} else {
-				err = srv.RecoverLink(a, b)
+			ev.Kind, ev.B = faults.DeltaFailLink, b
+			if op == "recover-link" {
+				ev.Kind = faults.DeltaRecoverLink
 			}
 		default:
 			httpErr(w, http.StatusBadRequest,
 				fmt.Errorf("bad op %q, want fail-node, recover-node, fail-link or recover-link", op))
 			return
 		}
-		if err != nil {
-			if errors.Is(err, safecube.ErrServerClosed) {
+		// Non-blocking enqueue: a full churn queue answers 429 with
+		// Retry-After at once instead of stalling the reporter.
+		if err := srv.TryApply(ev); err != nil {
+			switch {
+			case errors.Is(err, safecube.ErrServerBacklog):
+				w.Header().Set("Retry-After", "1")
+				httpErr(w, http.StatusTooManyRequests, err)
+			case errors.Is(err, safecube.ErrServerClosed):
 				httpErr(w, http.StatusServiceUnavailable, err)
-				return
+			default:
+				httpErr(w, http.StatusUnprocessableEntity, err)
 			}
-			httpErr(w, http.StatusUnprocessableEntity, err)
 			return
 		}
 		// 202: churn is asynchronous; the generation advances on publish.
@@ -631,12 +607,12 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 		// monitor.HTTPProber) reads it as a miss without parsing JSON.
 		if srv.NodeFaulty(a) {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"node": nm.Format(a), "faulty": true,
+				"node": c.Format(a), "faulty": true,
 			})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"node": nm.Format(a), "faulty": false, "level": srv.Level(a),
+			"node": c.Format(a), "faulty": false, "level": srv.Level(a),
 		})
 	}))
 
@@ -689,7 +665,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 			"queue_depth": srv.QueueDepth(),
 			"queue_cap":   opts.queueCap,
 			"inflight":    srv.Inflight(),
-			"nodes":       nm.Nodes(),
+			"nodes":       c.Nodes(),
 		})
 	}))
 
@@ -720,7 +696,7 @@ func newHandler(srv *safecube.Server, nm naming, reg *safecube.Registry, opts ha
 		if r.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_ = obs.WriteIncidentsText(w, snap, func(a int) string {
-				return nm.Format(safecube.NodeID(a))
+				return c.Format(safecube.NodeID(a))
 			})
 			return
 		}
@@ -768,6 +744,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// newCube builds Q_n, or the generalized hypercube of the given shape
+// when one is set.
+func newCube(n int, shape string) (*safecube.Cube, error) {
+	if shape == "" {
+		return safecube.New(n)
+	}
+	radix, err := safecube.ParseRadix(shape)
+	if err != nil {
+		return nil, err
+	}
+	return safecube.NewGeneralized(radix...)
 }
 
 // splitList splits a comma-separated value, trimming blanks.

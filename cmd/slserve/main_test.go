@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -389,4 +390,59 @@ func TestSplitList(t *testing.T) {
 	if splitList("") != nil {
 		t.Fatal("splitList(\"\") != nil")
 	}
+}
+
+// TestFaultBacklog checks that /fault never blocks on a full churn
+// queue: with a one-slot queue in front of a Q16 applier, concurrent
+// fault posts that find the queue full are answered 429 with
+// Retry-After at once instead of waiting for the applier to drain.
+func TestFaultBacklog(t *testing.T) {
+	c := safecube.MustNew(16)
+	reg := safecube.NewRegistry()
+	srv, err := c.Serve(safecube.ServeOptions{QueueDepth: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newHandler(srv, c, reg, handlerOpts{queueCap: 1}))
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	const posts = 32
+	for round := 0; round < 20; round++ {
+		codes := make([]int, posts)
+		retry := make([]string, posts)
+		var wg sync.WaitGroup
+		for i := range codes {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				a := c.Format(safecube.NodeID(round*posts + i))
+				resp, err := http.Get(ts.URL + "/fault?op=fail-node&a=" + a)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				codes[i], retry[i] = resp.StatusCode, resp.Header.Get("Retry-After")
+			}(i)
+		}
+		wg.Wait()
+		refused := 0
+		for i, code := range codes {
+			switch code {
+			case http.StatusAccepted:
+			case http.StatusTooManyRequests:
+				refused++
+				if retry[i] == "" {
+					t.Errorf("429 without Retry-After")
+				}
+			default:
+				t.Fatalf("fault post answered %d, want 202 or 429", code)
+			}
+		}
+		if refused > 0 {
+			return
+		}
+	}
+	t.Fatal("no fault post was refused with 429 although the one-slot churn queue was flooded")
 }

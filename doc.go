@@ -16,17 +16,20 @@
 //   - otherwise the unicast fails, detectably, at the source — which
 //     makes the scheme usable even in disconnected hypercubes.
 //
-// The package offers four execution styles:
+// The package offers three execution styles:
 //
 //   - Cube: sequential model — compute levels, route, inspect paths.
 //   - Distributed: goroutine-per-node execution with real message
 //     passing (one channel per node), for protocol-cost experiments.
-//   - Generalized: the Section 4.2 extension to mixed-radix generalized
-//     hypercubes GH(m_{n-1} x ... x m_0).
-//   - Server (Cube.Serve / Generalized.Serve): a concurrent serving
-//     engine with lock-free snapshot reads, asynchronous churn repair,
-//     per-request deadlines, admission control, and graceful drain —
-//     see docs/OPERATIONS.md for running it in production.
+//   - Server (Cube.Serve): a concurrent serving engine with lock-free
+//     snapshot reads, asynchronous churn repair, per-request deadlines,
+//     admission control, and graceful drain — see docs/OPERATIONS.md
+//     for running it in production.
+//
+// Each runs on the binary cube Q_n (New) and on the Section 4.2
+// generalized hypercube GH(m_{n-1} x ... x m_0) (NewGeneralized): both
+// constructors return a *Cube over one topology-generic core. Only the
+// sequential Cube.Broadcast is binary-only.
 //
 // Faulty links (Section 4.1) are supported on all styles: the two end
 // nodes of a faulty link expose safety level 0 to the rest of the cube

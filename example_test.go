@@ -82,7 +82,7 @@ func ExampleCube_FailLink() {
 }
 
 // The generalized hypercube of Fig. 5 (Section 4.2).
-func ExampleGeneralized() {
+func ExampleNewGeneralized() {
 	gh := safecube.MustNewGeneralized(2, 3, 2)
 	if err := gh.FailNamed("011", "100", "111", "121"); err != nil {
 		panic(err)

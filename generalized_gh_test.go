@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// TestGHInstrumentedUnicast is the tentpole's acceptance check: a
-// generalized hypercube instrumented with the same Registry as a binary
-// Cube records route traces, admission/outcome counters, GS run
-// telemetry, and level-cache hits — none of which existed on the old
-// ghcube-backed facade.
+// TestGHInstrumentedUnicast checks that a generalized hypercube
+// instrumented with a Registry records route traces, admission/outcome
+// counters, GS run telemetry, and level-cache hits exactly as a binary
+// cube does.
 func TestGHInstrumentedUnicast(t *testing.T) {
 	g := MustNewGeneralized(2, 3, 2)
 	reg := NewRegistry()
@@ -37,7 +36,7 @@ func TestGHInstrumentedUnicast(t *testing.T) {
 		t.Errorf("trace accounting = %+v", tr)
 	}
 	// Format must render GH digit strings via the topology, not raw ints.
-	if s := tr.Format(func(a int) string { return g.Format(GNodeID(a)) }); !strings.Contains(s, "010") {
+	if s := tr.Format(func(a int) string { return g.Format(NodeID(a)) }); !strings.Contains(s, "010") {
 		t.Errorf("formatted trace missing GH address:\n%s", s)
 	}
 
@@ -88,7 +87,7 @@ func TestGHFailLinkRouting(t *testing.T) {
 	if err := lv.Verify(); err != nil {
 		t.Error(err)
 	}
-	for _, end := range []GNodeID{a, b} {
+	for _, end := range []NodeID{a, b} {
 		if lv.Level(end) != 0 {
 			t.Errorf("public level of %s = %d, want 0", g.Format(end), lv.Level(end))
 		}
@@ -142,7 +141,7 @@ func TestGHRecoverNode(t *testing.T) {
 	if err := g.RecoverNode(center); err != nil {
 		t.Errorf("recovering a healthy node is an idempotent no-op, got %v", err)
 	}
-	if err := g.RecoverNode(GNodeID(99)); err == nil {
+	if err := g.RecoverNode(NodeID(99)); err == nil {
 		t.Error("recovering an out-of-range node should error")
 	}
 }
@@ -167,7 +166,7 @@ func TestGHSessionReroute(t *testing.T) {
 	at := sess.At()
 	for i := 0; i < g.Dim(); i++ {
 		if ci, di := g.t.Coord(at, i), g.t.Coord(d, i); ci != di {
-			if next := g.t.WithCoord(at, i, di); next != d {
+			if next := g.t.Toward(at, d, i); next != d {
 				if err := g.FailNode(next); err != nil {
 					t.Fatal(err)
 				}
@@ -194,5 +193,36 @@ func TestGHSessionReroute(t *testing.T) {
 		if !g.t.Adjacent(path[i-1], path[i]) {
 			t.Fatalf("non-adjacent hop %s -> %s", g.Format(path[i-1]), g.Format(path[i]))
 		}
+	}
+}
+
+// TestGHBroadcast pins the binary-only sequential broadcast: on a
+// generalized hypercube Cube.Broadcast returns nil instead of
+// panicking, while the distributed engine's level-ranked tree still
+// floods the whole GH.
+func TestGHBroadcast(t *testing.T) {
+	g := MustNewGeneralized(2, 3, 2)
+	if err := g.FailNamed("011", "100"); err != nil {
+		t.Fatal(err)
+	}
+	if res := g.Broadcast(g.MustParse("000")); res != nil {
+		t.Fatalf("sequential GH broadcast = %+v, want nil", res)
+	}
+	d := g.Distributed()
+	defer d.Close()
+	d.RunGS()
+	res, err := d.Broadcast(g.MustParse("000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Depth) != g.Nodes()-g.NodeFaults() {
+		t.Errorf("distributed GH broadcast covered %d of %d nonfaulty nodes",
+			len(res.Depth), g.Nodes()-g.NodeFaults())
+	}
+	if got, want := g.String(), "GH(2x3x2) with 2 node faults, 0 link faults"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if g.Radix(1) != 3 || MustNew(3).Radix(1) != 2 {
+		t.Error("Radix wrong")
 	}
 }

@@ -21,7 +21,7 @@ func TestExhaustiveQ4FiveFaults(t *testing.T) {
 	c := topo.MustCube(4)
 	count := 0
 	disconnected := 0
-	forEachFaultSet(t, 4, 5, func(s *faults.Set) {
+	forEachFaultSet(t, topo.MustCube(4), 5, func(s *faults.Set) {
 		count++
 		as := Compute(s, Options{})
 		if err := as.Verify(); err != nil {

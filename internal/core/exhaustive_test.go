@@ -13,11 +13,10 @@ import (
 	"repro/internal/topo"
 )
 
-// forEachFaultSet enumerates all fault sets of exactly k nodes in an
-// n-cube and calls fn with a reusable Set.
-func forEachFaultSet(t *testing.T, n, k int, fn func(*faults.Set)) {
+// forEachFaultSet enumerates all fault sets of exactly k nodes in c
+// and calls fn with a fresh Set.
+func forEachFaultSet(t *testing.T, c topo.Topology, k int, fn func(*faults.Set)) {
 	t.Helper()
-	c := topo.MustCube(n)
 	nodes := c.Nodes()
 	idx := make([]int, k)
 	for i := range idx {
@@ -52,7 +51,7 @@ func TestExhaustiveQ4UpToThreeFaults(t *testing.T) {
 	c := topo.MustCube(4)
 	count := 0
 	for k := 0; k <= 3; k++ {
-		forEachFaultSet(t, 4, k, func(s *faults.Set) {
+		forEachFaultSet(t, topo.MustCube(4), k, func(s *faults.Set) {
 			count++
 			as := Compute(s, Options{})
 			// Theorem 1: the computed assignment is the fixpoint.
@@ -122,7 +121,7 @@ func TestExhaustiveQ4FourFaults(t *testing.T) {
 	}
 	c := topo.MustCube(4)
 	count, disconnected := 0, 0
-	forEachFaultSet(t, 4, 4, func(s *faults.Set) {
+	forEachFaultSet(t, topo.MustCube(4), 4, func(s *faults.Set) {
 		count++
 		as := Compute(s, Options{})
 		if err := as.Verify(); err != nil {
@@ -188,7 +187,7 @@ func TestExhaustiveQ5TwoFaults(t *testing.T) {
 	}
 	c := topo.MustCube(5)
 	count := 0
-	forEachFaultSet(t, 5, 2, func(s *faults.Set) {
+	forEachFaultSet(t, topo.MustCube(5), 2, func(s *faults.Set) {
 		count++
 		as := Compute(s, Options{})
 		if err := as.Verify(); err != nil {
@@ -293,7 +292,7 @@ func TestExhaustiveUniquenessQ3(t *testing.T) {
 		if err := as.Verify(); err != nil {
 			t.Fatalf("mask %08b: %v", mask, err)
 		}
-		below := computeFromBelow(c, s)
+		below := computeFromBelow(s)
 		for a := 0; a < 8; a++ {
 			if below[a] != as.Level(topo.NodeID(a)) {
 				t.Fatalf("mask %08b: node %d from-below %d != from-above %d",

@@ -275,7 +275,7 @@ func TestUniquenessFromBelow(t *testing.T) {
 		s := faults.NewSet(c)
 		faults.InjectUniform(s, rng, rng.Intn(12))
 		as := Compute(s, Options{})
-		below := computeFromBelow(c, s)
+		below := computeFromBelow(s)
 		for a := 0; a < c.Nodes(); a++ {
 			if below[a] != as.Level(topo.NodeID(a)) {
 				t.Fatalf("trial %d: node %s from-below %d != from-above %d (faults %s)",
@@ -285,25 +285,33 @@ func TestUniquenessFromBelow(t *testing.T) {
 	}
 }
 
-// computeFromBelow iterates Definition 1 starting from the all-zero
-// initialization until a fixpoint, mirroring the constructive proof of
-// Theorem 1 (round k assigns the k-safe nodes from the bottom up).
-func computeFromBelow(c *topo.Cube, s *faults.Set) []int {
-	n := c.Dim()
-	cur := make([]int, c.Nodes())
-	next := make([]int, c.Nodes())
-	neigh := make([]int, n)
-	for iter := 0; iter < c.Nodes()+n; iter++ {
+// computeFromBelow iterates Definition 1 (Definition 4 on a
+// generalized hypercube: each dimension first reduces to its minimum
+// sibling level) starting from the all-zero initialization until a
+// fixpoint, mirroring the constructive proof of Theorem 1 (round k
+// assigns the k-safe nodes from the bottom up).
+func computeFromBelow(s *faults.Set) []int {
+	t := s.Topology()
+	n := t.Dim()
+	cur := make([]int, t.Nodes())
+	next := make([]int, t.Nodes())
+	dims := make([]int, n)
+	var sibs []topo.NodeID
+	for iter := 0; iter < t.Nodes()+n; iter++ {
 		changed := false
-		for a := 0; a < c.Nodes(); a++ {
+		for a := 0; a < t.Nodes(); a++ {
 			if s.NodeFaulty(topo.NodeID(a)) {
 				next[a] = 0
 				continue
 			}
 			for i := 0; i < n; i++ {
-				neigh[i] = cur[c.Neighbor(topo.NodeID(a), i)]
+				dims[i] = n
+				sibs = t.Siblings(topo.NodeID(a), i, sibs[:0])
+				for _, b := range sibs {
+					dims[i] = min(dims[i], cur[b])
+				}
 			}
-			next[a] = LevelFromNeighbors(neigh, nil)
+			next[a] = LevelFromNeighbors(dims, nil)
 			if next[a] != cur[a] {
 				changed = true
 			}

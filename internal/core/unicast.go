@@ -114,6 +114,12 @@ type Route struct {
 	// It causally links the route to its flight record, histogram
 	// exemplars, and any promoted incident.
 	FlightID uint64
+	// Gen is the fault-set generation of the serving snapshot the route
+	// was computed on (0 when the router was not stamped; see
+	// Router.Stamp). Replies carry this value, not the generation
+	// current when they are encoded, which churn may already have
+	// advanced.
+	Gen uint64
 }
 
 // Len returns the number of hops traveled, or 0 for a failed unicast.
@@ -129,6 +135,8 @@ type Router struct {
 	// obs, when non-nil, receives admission/hop/outcome events. The
 	// nil case costs one branch per decision point.
 	obs *obs.RouteObserver
+	// gen is copied into every Route's Gen (see Stamp).
+	gen uint64
 }
 
 // NewRouter returns a Router over assignment as using tie-break policy
@@ -148,6 +156,16 @@ func (rt *Router) Assignment() *Assignment { return rt.as }
 // concurrent unicasts; counter-only observers may be.
 func (rt *Router) Observe(o *obs.RouteObserver) *Router {
 	rt.obs = o
+	return rt
+}
+
+// Stamp sets the fault-set generation the router's assignment was
+// published under; every Route it produces carries it in Gen. A
+// serving engine stamps each snapshot's router once, so a reply can
+// name the generation it was actually routed on. Returns the router
+// for chaining.
+func (rt *Router) Stamp(gen uint64) *Router {
+	rt.gen = gen
 	return rt
 }
 
@@ -218,7 +236,7 @@ func (rt *Router) UnicastID(s, d topo.NodeID, id uint64) *Route {
 // and footnote to Section 4.1).
 func (rt *Router) Unicast(s, d topo.NodeID) *Route {
 	as, t := rt.as, rt.as.t
-	r := &Route{Source: s, Dest: d, Hamming: t.Distance(s, d)}
+	r := &Route{Source: s, Dest: d, Hamming: t.Distance(s, d), Gen: rt.gen}
 	if !t.Contains(s) || !t.Contains(d) {
 		r.Outcome = Failure
 		r.Err = fmt.Errorf("core: node outside cube")

@@ -269,15 +269,16 @@ func TestGuaranteeBelowNFaults(t *testing.T) {
 					t.Fatalf("n=%d faults=%d: unicast %s -> %s failed (%v)",
 						n, s.NodeFaults(), c.Format(src), c.Format(dst), r.Err)
 				}
-				checkDelivered(t, c, s, r)
+				checkDelivered(t, s, r)
 			}
 		}
 	}
 }
 
 // checkDelivered validates the transport invariants of a delivered route.
-func checkDelivered(t *testing.T, c *topo.Cube, s *faults.Set, r *Route) {
+func checkDelivered(t *testing.T, s *faults.Set, r *Route) {
 	t.Helper()
+	c := s.Topology()
 	if r.Err != nil {
 		t.Fatalf("route error: %v", r.Err)
 	}
@@ -333,7 +334,7 @@ func TestHeavyFaultsEitherRouteOrDetectablyFail(t *testing.T) {
 				}
 				continue
 			}
-			checkDelivered(t, c, s, r)
+			checkDelivered(t, s, r)
 		}
 	}
 }

@@ -116,20 +116,6 @@ func NewSyndrome(t topo.Topology) *Syndrome {
 // Topology returns the topology the syndrome is indexed over.
 func (s *Syndrome) Topology() topo.Topology { return s.t }
 
-// eachNeighbor visits tester's neighbors in rank order (dimensions
-// ascending, siblings in coordinate order within a dimension) — the
-// canonical order the bitset index is built on.
-func (s *Syndrome) eachNeighbor(u topo.NodeID, fn func(rank int, v topo.NodeID)) {
-	rank := 0
-	for d := 0; d < s.t.Dim(); d++ {
-		s.scratch = s.t.Siblings(u, d, s.scratch[:0])
-		for _, v := range s.scratch {
-			fn(rank, v)
-			rank++
-		}
-	}
-}
-
 // rankOf returns testee's rank in tester's neighbor order, or -1 if
 // they are not adjacent.
 func (s *Syndrome) rankOf(tester, testee topo.NodeID) int {
@@ -274,6 +260,21 @@ func bitsFromB64(enc string, words int) (bitset.Set, error) {
 	return s, nil
 }
 
+// checkBits rejects bitsets no collector produces: a test past the
+// nodes·degree neighbor slots, or a result for a test that never
+// completed (the decoder would read it as a fault report).
+func checkBits(tested, result bitset.Set, slots int) error {
+	for i, w := range tested {
+		if result[i]&^w != 0 {
+			return fmt.Errorf("diagnose: syndrome reports results for untested slots")
+		}
+		if lo := 64 * i; lo+64 > slots && w>>uint(slots-lo) != 0 {
+			return fmt.Errorf("diagnose: syndrome tests slots past %d", slots)
+		}
+	}
+	return nil
+}
+
 // MarshalJSON encodes the syndrome in the pmc-bitset-v1 wire format.
 func (s *Syndrome) MarshalJSON() ([]byte, error) {
 	radix := make([]int, s.t.Dim())
@@ -322,6 +323,9 @@ func ParseSyndrome(data []byte, t topo.Topology) (*Syndrome, error) {
 		return nil, err
 	}
 	if syn.result, err = bitsFromB64(w.Result, words); err != nil {
+		return nil, err
+	}
+	if err := checkBits(syn.tested, syn.result, t.Nodes()*syn.deg); err != nil {
 		return nil, err
 	}
 	if got := syn.Tests(); got != w.Tests {

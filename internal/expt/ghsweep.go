@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/simnet"
@@ -22,17 +20,6 @@ var ghShapes = [][]int{
 	{2, 3, 2},
 	{3, 3, 3},
 	{4, 3, 2, 2},
-}
-
-func ghName(radix []int) string {
-	s := "GH("
-	for i := len(radix) - 1; i >= 0; i-- {
-		s += fmt.Sprint(radix[i])
-		if i > 0 {
-			s += "x"
-		}
-	}
-	return s + ")"
 }
 
 // GHSweep (E15) runs the unicast guarantee sweep on generalized
@@ -83,7 +70,7 @@ func GHSweep(cfg Config) *Table {
 					}
 				}
 			}
-			t.AddRow(ghName(radix), f, attempts, failures,
+			t.AddRow(m.String(), f, attempts, failures,
 				pct(optimal, attempts), pct(suboptimal, attempts), rounds.Mean(), mismatches)
 		}
 	}
@@ -129,7 +116,7 @@ func GHDistributed(cfg Config) *Table {
 			e.Close()
 		}
 		bound := (m.Nodes() - f) * m.Degree() * (m.Dim() - 1)
-		t.AddRow(ghName(radix), f, cfg.Trials, mismatches, rounds.Mean(), msgs.Mean(), bound)
+		t.AddRow(m.String(), f, cfg.Trials, mismatches, rounds.Mean(), msgs.Mean(), bound)
 	}
 	t.Note("%d trials per shape, seed %d; level mismatches must be 0", cfg.Trials, cfg.Seed)
 	return t

@@ -159,6 +159,30 @@ func TestHTTPTargetMapping(t *testing.T) {
 	}
 }
 
+// TestHTTPTargetFaultBacklog: /fault has no admission control, so a
+// 429 there is a full churn queue and must classify as backlog, not as
+// reader-side overload.
+func TestHTTPTargetFaultBacklog(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	defer srv.Close()
+
+	tgt := HTTPTarget{Base: srv.URL, N: 16}
+	ctx := context.Background()
+	if err := tgt.Fault(ctx, 3, true); Classify(err) != ClassBacklog {
+		t.Fatalf("fault 429 -> %v, want backlog", err)
+	}
+	ev := faults.ChurnEvent{Kind: faults.DeltaFailLink, A: 0, B: 1}
+	if err := tgt.ApplyEvent(ctx, ev); Classify(err) != ClassBacklog {
+		t.Fatalf("apply-event 429 -> %v, want backlog", err)
+	}
+	if err := tgt.Route(ctx, 0, 15); Classify(err) != ClassOverload {
+		t.Fatalf("route 429 -> %v, want overload", err)
+	}
+}
+
 // TestScheduleReplayLocal: a seeded scenario schedule replays in full
 // through the local target's TryApply path, every event lands, and the
 // ends-clean invariant leaves the served fault set empty again.

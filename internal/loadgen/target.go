@@ -112,6 +112,11 @@ func (h HTTPTarget) get(ctx context.Context, path string, q url.Values) error {
 	case http.StatusOK, http.StatusAccepted:
 		return nil
 	case http.StatusTooManyRequests:
+		// /fault has no admission control: its 429 can only be a full
+		// churn queue.
+		if path == "/fault" {
+			return serve.ErrBacklog
+		}
 		return serve.ErrOverload
 	case http.StatusServiceUnavailable:
 		return serve.ErrDraining

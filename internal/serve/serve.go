@@ -50,7 +50,7 @@ func newSnapshot(gen uint64, det *core.Assignment, tie core.TieBreak, ro *obs.Ro
 	return &Snapshot{
 		gen:      gen,
 		as:       det,
-		rt:       core.NewRouter(det, tie).Observe(ro),
+		rt:       core.NewRouter(det, tie).Observe(ro).Stamp(gen),
 		at:       time.Now(),
 		genCheck: gen,
 	}

@@ -391,7 +391,7 @@ func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.R
 			return errFrame(id, wireErrCode(err), "")
 		}
 		payload := wire.AppendUnicastResp(wire.GetBuf(), wire.UnicastResp{
-			Gen:      ws.svc.Generation(),
+			Gen:      r.Gen,
 			FlightID: r.FlightID,
 			Route:    routeInfoOf(r),
 		})
@@ -432,7 +432,13 @@ func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.R
 			out = append(out, routeInfoOf(r))
 		}
 		*routes = out
-		payload := wire.AppendBatchResp(wire.GetBuf(), ws.svc.Generation(), out)
+		// Every route of a batch shares one snapshot; an empty batch
+		// routed on none and reports the current generation.
+		gen := ws.svc.Generation()
+		if len(rs) > 0 {
+			gen = rs[0].Gen
+		}
+		payload := wire.AppendBatchResp(wire.GetBuf(), gen, out)
 		frame := wire.AppendFrame(wire.GetBuf(), wire.OpBatch, wire.FlagResponse, id, payload)
 		wire.PutBuf(payload)
 		return frame
@@ -460,8 +466,9 @@ func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.R
 			return errFrame(id, wire.CodeBadRequest, err.Error())
 		}
 		ev := faults.ChurnEvent{Kind: faults.DeltaKind(req.Kind), A: topo.NodeID(req.A), B: topo.NodeID(req.B)}
-		// TryApply, matching the HTTP /fault semantics: churn never
-		// blocks the data plane; a full queue is typed backpressure.
+		// TryApply, as HTTP /fault does: churn never blocks the data
+		// plane; a full queue is typed backpressure (CodeBacklog, the
+		// twin of /fault's 429 + Retry-After).
 		if err := ws.svc.TryApply(ev); err != nil {
 			ws.mErrors.Inc()
 			code := wireErrCode(err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -499,5 +500,56 @@ func TestWireServerQueueBackpressure(t *testing.T) {
 		if h.ReqID != uint64(i+1) {
 			t.Fatalf("response %d has ID %d", i, h.ReqID)
 		}
+	}
+}
+
+// TestWireReplyGenerationIsRoutedSnapshot pins a reply's generation to
+// the snapshot its routes were computed on: the tie-break of a route
+// served on generation G publishes G+1 before the route returns, and
+// the OpUnicast and OpBatch replies must still carry G.
+func TestWireReplyGenerationIsRoutedSnapshot(t *testing.T) {
+	var (
+		svc    *Service
+		armed  atomic.Bool
+		victim atomic.Int32
+	)
+	tie := func(dims []int) int {
+		if armed.CompareAndSwap(true, false) {
+			if err := svc.FailNode(topo.NodeID(victim.Add(1))); err != nil {
+				t.Error(err)
+			}
+			svc.Flush()
+		}
+		return dims[0]
+	}
+	victim.Store(40)
+	svc, ws := newWireServer(t, Options{Tie: tie}, WireOptions{})
+	c := dialWire(t, ws, wire.ClientOptions{})
+	ctx := context.Background()
+
+	gen := svc.Generation()
+	armed.Store(true)
+	resp, err := c.Unicast(ctx, 0, 63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if armed.Load() || svc.Generation() != gen+1 {
+		t.Fatalf("tie-break did not publish mid-route: generation %d, was %d", svc.Generation(), gen)
+	}
+	if resp.Gen != gen {
+		t.Errorf("unicast routed on generation %d replied %d", gen, resp.Gen)
+	}
+
+	gen = svc.Generation()
+	armed.Store(true)
+	bgen, _, err := c.Batch(ctx, []wire.Pair{{Src: 0, Dst: 63}, {Src: 1, Dst: 62}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if armed.Load() || svc.Generation() != gen+1 {
+		t.Fatalf("tie-break did not publish mid-batch: generation %d, was %d", svc.Generation(), gen)
+	}
+	if bgen != gen {
+		t.Errorf("batch routed on generation %d replied %d", gen, bgen)
 	}
 }

@@ -1,9 +1,7 @@
 package safecube
 
 import (
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/topo"
 )
 
 // Observability surface of the public API. A Registry collects
@@ -154,27 +152,17 @@ func (c *Cube) traceObserver(s, d NodeID) *obs.RouteObserver {
 	// Stamp the trace with the fault-set generation the unicast routes
 	// against, so traces collected under churn stay attributable to one
 	// level state.
-	return ro.WithTraceGen(int(s), int(d), topo.Hamming(s, d), c.set.Generation())
+	return ro.WithTraceGen(int(s), int(d), c.t.Distance(s, d), c.set.Generation())
 }
 
 // UnicastTraced routes like Unicast and additionally records the full
 // decision trace: the admission condition that held, every hop with its
 // dimension and preferred-vs-spare role, and the final outcome with path
-// length vs Hamming distance. Tracing allocates per event; use Unicast
-// on hot paths.
+// length vs distance. Tracing allocates per event; use Unicast on hot
+// paths.
 func (c *Cube) UnicastTraced(s, d NodeID) (*Route, *RouteTrace) {
-	lv := c.ComputeLevels()
 	ro := c.traceObserver(s, d)
-	r := core.NewRouter(lv.as, nil).Observe(ro).Unicast(s, d)
-	return &Route{
-		Source:    r.Source,
-		Dest:      r.Dest,
-		Hamming:   r.Hamming,
-		Outcome:   r.Outcome,
-		Condition: r.Condition,
-		Path:      append([]NodeID(nil), r.Path...),
-		Err:       r.Err,
-	}, ro.Trace()
+	return routeOf(c.router(ro).Unicast(s, d)), ro.Trace()
 }
 
 // StartUnicastTraced admits a unicast like StartUnicast and returns the
@@ -183,11 +171,7 @@ func (c *Cube) UnicastTraced(s, d NodeID) (*Route, *RouteTrace) {
 // Section 2.2 demand-driven scenario. The trace is complete once the
 // session is Done (or abandoned after a failed Reroute).
 func (c *Cube) StartUnicastTraced(s, d NodeID) (*RouteSession, *RouteTrace, Condition, Outcome) {
-	lv := c.ComputeLevels()
 	ro := c.traceObserver(s, d)
-	sess, cond, out := core.NewRouter(lv.as, nil).Observe(ro).Start(s, d)
-	if sess == nil {
-		return nil, ro.Trace(), cond, out
-	}
-	return &RouteSession{sess: sess, cube: c}, ro.Trace(), cond, out
+	sess, cond, out := c.start(s, d, ro)
+	return sess, ro.Trace(), cond, out
 }

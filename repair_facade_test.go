@@ -2,39 +2,29 @@ package safecube
 
 import "testing"
 
-// TestCubeCacheRepair covers the incremental-repair path of the
-// generation-keyed level cache: after a fault mutation the facade patches
-// the stale assignment through core.RepairLevels instead of recomputing
-// cold, the event still counts as a cache miss (back-compat with the
-// invalidation contract), a repairs counter distinguishes it, and the
-// patched levels are bit-identical to a cold computation on the same
-// fault state.
-func TestCubeCacheRepair(t *testing.T) {
-	c := MustNew(6)
+// checkCacheRepair covers the incremental-repair path of the
+// generation-keyed level cache: after each fault mutation the facade
+// patches the stale assignment through core.RepairLevels instead of
+// recomputing cold, the event still counts as a cache miss (back-compat
+// with the invalidation contract), a repairs counter distinguishes it,
+// and the patched levels are bit-identical to a cold computation on a
+// fresh cube carrying the same mutations.
+func checkCacheRepair(t *testing.T, fresh func() *Cube, mutate ...func(*Cube) error) {
+	t.Helper()
+	c := fresh()
 	reg := NewRegistry()
 	c.Instrument(reg)
 	c.ComputeLevels() // cold fill
 
-	mutate := []func() error{
-		func() error { return c.FailNamed("000001") },
-		func() error { return c.FailNamed("000011") },
-		func() error { return c.FailLink(c.MustParse("000000"), c.MustParse("000100")) },
-		func() error { return c.RecoverNode(c.MustParse("000001")) },
-	}
 	for i, m := range mutate {
-		if err := m(); err != nil {
+		if err := m(c); err != nil {
 			t.Fatal(err)
 		}
 		lv := c.ComputeLevels()
 
-		ref := MustNew(6)
-		for _, a := range c.FaultyNodes() {
-			if err := ref.FailNode(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if i >= 2 {
-			if err := ref.FailLink(ref.MustParse("000000"), ref.MustParse("000100")); err != nil {
+		ref := fresh()
+		for _, m := range mutate[:i+1] {
+			if err := m(ref); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -61,35 +51,19 @@ func TestCubeCacheRepair(t *testing.T) {
 	}
 }
 
-// TestGeneralizedCacheRepair is the mixed-radix twin of
+func TestCubeCacheRepair(t *testing.T) {
+	checkCacheRepair(t, func() *Cube { return MustNew(6) },
+		func(c *Cube) error { return c.FailNamed("000001") },
+		func(c *Cube) error { return c.FailNamed("000011") },
+		func(c *Cube) error { return c.FailLink(c.MustParse("000000"), c.MustParse("000100")) },
+		func(c *Cube) error { return c.RecoverNode(c.MustParse("000001")) },
+	)
+}
+
+// TestGeneralizedCacheRepair is the mixed-radix case of
 // TestCubeCacheRepair.
 func TestGeneralizedCacheRepair(t *testing.T) {
-	g := MustNewGeneralized(2, 3, 2)
-	reg := NewRegistry()
-	g.Instrument(reg)
-	g.ComputeLevels() // cold fill
-
-	if err := g.FailNamed("010"); err != nil {
-		t.Fatal(err)
-	}
-	lv := g.ComputeLevels()
-
-	ref := MustNewGeneralized(2, 3, 2)
-	if err := ref.FailNamed("010"); err != nil {
-		t.Fatal(err)
-	}
-	cold := ref.ComputeLevels()
-	for a := 0; a < g.Nodes(); a++ {
-		id := GNodeID(a)
-		if lv.Level(id) != cold.Level(id) || lv.OwnLevel(id) != cold.OwnLevel(id) {
-			t.Fatalf("node %s repaired %d/%d, cold %d/%d", g.Format(id),
-				lv.Level(id), lv.OwnLevel(id), cold.Level(id), cold.OwnLevel(id))
-		}
-	}
-	if got := counter(t, reg, MetricLevelsCacheRepairs); got != 1 {
-		t.Fatalf("repairs counter = %d, want 1", got)
-	}
-	if tr := reg.LastGS(); tr == nil || tr.Kind != "repair" {
-		t.Fatalf("last GS trace = %+v, want Kind \"repair\"", tr)
-	}
+	checkCacheRepair(t, func() *Cube { return MustNewGeneralized(2, 3, 2) },
+		func(c *Cube) error { return c.FailNamed("010") },
+	)
 }

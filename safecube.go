@@ -2,6 +2,8 @@ package safecube
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -10,7 +12,9 @@ import (
 	"repro/internal/topo"
 )
 
-// NodeID identifies a hypercube node by its binary address, in 0..2^n-1.
+// NodeID identifies a node: in a binary cube its n-bit address, in
+// 0..2^n-1; in a generalized hypercube its mixed-radix row-major index
+// (dimension 0 is the least significant digit).
 type NodeID = topo.NodeID
 
 // Outcome classifies a unicast attempt.
@@ -40,12 +44,21 @@ const (
 // MaxDim is the largest supported cube dimension.
 const MaxDim = topo.MaxDim
 
-// Cube is a faulty hypercube with safety-level routing. It is not safe
-// for concurrent mutation; compute-and-route from one goroutine, or use
-// Distributed for a concurrent execution model.
+// Cube is a faulty hypercube with safety-level routing: the binary cube
+// Q_n (New) or the generalized hypercube GH(m_{n-1} x ... x m_0) of
+// Section 4.2 (NewGeneralized). In a GH the m_i nodes sharing all other
+// coordinates are fully connected along dimension i, so every dimension
+// is crossed in one hop and the distance between two nodes is the
+// number of differing coordinates; Definition 4 reduces each dimension
+// to its minimum sibling level and the same GS fixpoint and C1/C2/C3
+// router run on both lattices.
+//
+// A Cube is not safe for concurrent mutation; compute-and-route from one
+// goroutine, or use Distributed or Serve for a concurrent execution
+// model.
 type Cube struct {
-	cube *topo.Cube
-	set  *faults.Set
+	t   topo.Topology
+	set *faults.Set
 	// as is the cached level assignment; it is valid while asGen matches
 	// the fault set's mutation generation, so no mutator has to flag
 	// staleness by hand and repeated unicasts between fault events reuse
@@ -61,14 +74,14 @@ type Cube struct {
 	cacheRepairs *obs.Counter
 }
 
-// New returns an n-dimensional fault-free cube. Dimension must be in
-// [1, MaxDim].
+// New returns an n-dimensional fault-free binary cube. Dimension must be
+// in [1, MaxDim].
 func New(n int) (*Cube, error) {
 	c, err := topo.NewCube(n)
 	if err != nil {
 		return nil, err
 	}
-	return &Cube{cube: c, set: faults.NewSet(c)}, nil
+	return &Cube{t: c, set: faults.NewSet(c)}, nil
 }
 
 // MustNew is New for compile-time-constant dimensions; it panics on an
@@ -81,21 +94,70 @@ func MustNew(n int) *Cube {
 	return c
 }
 
-// Dim returns the cube dimension n.
-func (c *Cube) Dim() int { return c.cube.Dim() }
+// NewGeneralized returns the fault-free generalized hypercube with the
+// given per-dimension radixes, listed from dimension 0 upward
+// (NewGeneralized(2, 3, 2) is the paper's 2 x 3 x 2 example). Every
+// radix must be at least 2.
+func NewGeneralized(radix ...int) (*Cube, error) {
+	t, err := topo.NewMixed(radix)
+	if err != nil {
+		return nil, err
+	}
+	return &Cube{t: t, set: faults.NewSet(t)}, nil
+}
 
-// Nodes returns the number of nodes, 2^n.
-func (c *Cube) Nodes() int { return c.cube.Nodes() }
+// MustNewGeneralized is NewGeneralized that panics on bad radixes.
+func MustNewGeneralized(radix ...int) *Cube {
+	c, err := NewGeneralized(radix...)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
 
-// Parse converts an n-bit binary address string ("0110") to a NodeID.
-func (c *Cube) Parse(addr string) (NodeID, error) { return c.cube.Parse(addr) }
+// ParseRadix converts a shape string in the paper's notation
+// ("2x3x2", dimension n-1 first) to the dimension-0-first radix slice
+// NewGeneralized takes.
+func ParseRadix(shape string) ([]int, error) {
+	parts := strings.Split(shape, "x")
+	radix := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("bad radix %q: %v", p, err)
+		}
+		radix[len(parts)-1-i] = v
+	}
+	return radix, nil
+}
+
+// Dim returns the number of dimensions n.
+func (c *Cube) Dim() int { return c.t.Dim() }
+
+// Nodes returns the number of nodes (2^n for a binary cube).
+func (c *Cube) Nodes() int { return c.t.Nodes() }
+
+// Radix returns m_i, the number of coordinate values in dimension i
+// (always 2 in a binary cube).
+func (c *Cube) Radix(i int) int { return c.t.Radix(i) }
+
+// Parse converts an address in the paper's notation — an n-bit binary
+// string ("0110") in a binary cube, a digit string ("021") in a
+// generalized hypercube — to a NodeID.
+func (c *Cube) Parse(addr string) (NodeID, error) { return c.t.Parse(addr) }
 
 // MustParse is Parse that panics on malformed input; intended for
 // literals in examples and tests.
-func (c *Cube) MustParse(addr string) NodeID { return c.cube.MustParse(addr) }
+func (c *Cube) MustParse(addr string) NodeID {
+	a, err := c.t.Parse(addr)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
 
-// Format renders a node as its n-bit binary address.
-func (c *Cube) Format(a NodeID) string { return c.cube.Format(a) }
+// Format renders a node in the paper's notation (see Parse).
+func (c *Cube) Format(a NodeID) string { return c.t.Format(a) }
 
 // FailNode marks a node fail-stop faulty.
 func (c *Cube) FailNode(a NodeID) error {
@@ -107,7 +169,7 @@ func (c *Cube) FailNodes(nodes ...NodeID) error {
 	return c.set.FailNodes(nodes...)
 }
 
-// FailNamed marks the nodes with the given binary addresses faulty.
+// FailNamed marks the nodes with the given addresses faulty.
 func (c *Cube) FailNamed(addrs ...string) error {
 	for _, s := range addrs {
 		a, err := c.Parse(s)
@@ -133,6 +195,9 @@ func (c *Cube) FailLink(a, b NodeID) error {
 	return c.set.FailLink(a, b)
 }
 
+// LinkFaulty reports whether the undirected link (a, b) is faulty.
+func (c *Cube) LinkFaulty(a, b NodeID) bool { return c.set.LinkFaulty(a, b) }
+
 // InjectRandomFaults fails exactly count additional distinct nodes,
 // chosen uniformly with the deterministic generator seeded by seed.
 func (c *Cube) InjectRandomFaults(seed uint64, count int) error {
@@ -148,13 +213,22 @@ func (c *Cube) FaultyNodes() []NodeID { return c.set.FaultyNodes() }
 // NodeFaults returns the number of faulty nodes.
 func (c *Cube) NodeFaults() int { return c.set.NodeFaults() }
 
+// LinkFaults returns the number of faulty links.
+func (c *Cube) LinkFaults() int { return c.set.LinkFaults() }
+
 // Connected reports whether the surviving (nonfaulty) subgraph is one
 // component. A false result means the cube is a "disconnected
 // hypercube" in the paper's sense; safety-level routing keeps working
 // within components and detects cross-partition unicasts at the source.
 func (c *Cube) Connected() bool { return faults.Connected(c.set) }
 
-// Hamming returns the Hamming distance between two node addresses.
+// Distance returns the number of dimensions in which a and b differ:
+// the Hamming distance in a binary cube, the number of differing
+// coordinates in a generalized hypercube.
+func (c *Cube) Distance(a, b NodeID) int { return c.t.Distance(a, b) }
+
+// Hamming returns the Hamming distance between two binary-cube node
+// addresses.
 func Hamming(a, b NodeID) int { return topo.Hamming(a, b) }
 
 // Levels is the computed safety-level assignment of a cube.
@@ -213,6 +287,7 @@ func (c *Cube) recordGS() {
 	c.reg.Counter(obs.MetricGSLevelChangesTotal).Add(int64(changes))
 	tr := &obs.GSTrace{
 		Kind:       "sequential",
+		Topo:       c.topoName(),
 		Dim:        c.Dim(),
 		NodeFaults: c.set.NodeFaults(),
 		LinkFaults: c.set.LinkFaults(),
@@ -229,6 +304,16 @@ func (c *Cube) recordGS() {
 		c.reg.Counter(obs.MetricGSRepairEvals).Add(int64(c.as.Evals()))
 	}
 	c.reg.RecordGS(tr)
+}
+
+// topoName names a generalized hypercube for GS traces ("GH(2x3x2)");
+// it is empty for a binary cube, whose traces GSTrace.Summary names
+// "Q<n>" itself.
+func (c *Cube) topoName() string {
+	if _, binary := c.t.(*topo.Cube); binary {
+		return ""
+	}
+	return fmt.Sprint(c.t)
 }
 
 // Level returns node a's safety level as observed by its neighbors
@@ -249,15 +334,17 @@ func (l *Levels) Safe(a NodeID) bool { return l.as.Safe(a) }
 // SafeSet returns all safe nodes in ascending order.
 func (l *Levels) SafeSet() []NodeID { return l.as.SafeSet() }
 
-// Verify checks the assignment against Definition 1 at every node; it
-// returns nil for every assignment produced by ComputeLevels.
+// Verify checks the assignment against Definition 1 (Definition 4 in a
+// generalized hypercube) at every node; it returns nil for every
+// assignment produced by ComputeLevels.
 func (l *Levels) Verify() error { return l.as.Verify() }
 
 // Route is the result of a unicast attempt.
 type Route struct {
 	// Source and Dest are the unicast endpoints.
 	Source, Dest NodeID
-	// Hamming is the distance H(Source, Dest).
+	// Hamming is the distance H(Source, Dest): the number of
+	// dimensions in which the endpoints differ (Cube.Distance).
 	Hamming int
 	// Outcome classifies the attempt; on Failure the message never left
 	// the source.
@@ -275,6 +362,10 @@ type Route struct {
 	// context-aware readers); it links the route to /debug/flight
 	// records, incident traces, and histogram exemplars.
 	RequestID uint64
+	// Generation is the fault-set generation of the snapshot a Server
+	// routed the request on (0 for routes not served by a Server). It
+	// can be older than Server.Generation once churn lands mid-request.
+	Generation uint64
 }
 
 // Hops returns the number of links traveled (0 on failure).
@@ -287,7 +378,25 @@ func (r *Route) Hops() int {
 
 // PathString renders the path as "0001 -> 0000 -> 1000" given the cube.
 func (r *Route) PathString(c *Cube) string {
-	return topo.Path(r.Path).FormatWith(c.cube)
+	return topo.Path(r.Path).FormatWith(c.t)
+}
+
+// routeOf copies a core route into the public form.
+func routeOf(r *core.Route) *Route {
+	if r == nil {
+		return nil
+	}
+	return &Route{
+		Source:     r.Source,
+		Dest:       r.Dest,
+		Hamming:    r.Hamming,
+		Outcome:    r.Outcome,
+		Condition:  r.Condition,
+		Path:       append([]NodeID(nil), r.Path...),
+		Err:        r.Err,
+		RequestID:  r.FlightID,
+		Generation: r.Gen,
+	}
 }
 
 // Unicast routes a message from s to d using safety levels, computing
@@ -295,40 +404,33 @@ func (r *Route) PathString(c *Cube) string {
 // may be faulty only at distance 1 (a node can always reach its own
 // neighbors).
 func (c *Cube) Unicast(s, d NodeID) *Route {
-	lv := c.ComputeLevels()
-	r := core.NewRouter(lv.as, nil).Observe(c.routeObs).Unicast(s, d)
-	return &Route{
-		Source:    r.Source,
-		Dest:      r.Dest,
-		Hamming:   r.Hamming,
-		Outcome:   r.Outcome,
-		Condition: r.Condition,
-		Path:      append([]NodeID(nil), r.Path...),
-		Err:       r.Err,
-	}
+	return routeOf(c.router(c.routeObs).Unicast(s, d))
+}
+
+// router returns a router over the current levels, computing them
+// first if needed, reporting to ro (nil for none).
+func (c *Cube) router(ro *obs.RouteObserver) *core.Router {
+	return core.NewRouter(c.ComputeLevels().as, nil).Observe(ro)
 }
 
 // Feasibility evaluates the source-side admission test for a unicast
 // from s to d without moving a message: which condition (if any) holds
 // and the outcome class it implies.
 func (c *Cube) Feasibility(s, d NodeID) (Condition, Outcome) {
-	lv := c.ComputeLevels()
-	return core.NewRouter(lv.as, nil).Feasibility(s, d)
+	return c.router(nil).Feasibility(s, d)
 }
 
-// OptimalPathExists reports whether a Hamming-distance path from s to d
-// survives the current faults — the ground truth behind Theorem 2, via
-// exact dynamic programming (exponential only in H(s, d)).
+// OptimalPathExists reports whether a path of length Distance(s, d)
+// from s to d survives the current faults — the ground truth behind
+// Theorem 2 (Theorem 2' in a generalized hypercube), via exact dynamic
+// programming (exponential only in the distance).
 func (c *Cube) OptimalPathExists(s, d NodeID) bool {
 	return faults.HasOptimalPath(c.set, s, d)
 }
 
-// String summarizes the cube state.
+// String summarizes the cube state ("Q4 with 4 node faults, 0 link
+// faults"; a generalized hypercube names its shape, "GH(2x3x2)").
 func (c *Cube) String() string {
-	return fmt.Sprintf("Q%d with %d node faults, %d link faults",
-		c.cube.Dim(), c.set.NodeFaults(), c.set.LinkFaults())
+	return fmt.Sprintf("%s with %d node faults, %d link faults",
+		c.t, c.set.NodeFaults(), c.set.LinkFaults())
 }
-
-// internalSet exposes the fault set to the sibling files of this
-// package (distributed.go, generalized.go).
-func (c *Cube) internalSet() *faults.Set { return c.set }

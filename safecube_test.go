@@ -259,6 +259,21 @@ func TestDistributedRunGSRounds(t *testing.T) {
 	}
 }
 
+func TestGeneralizedValidation(t *testing.T) {
+	if _, err := NewGeneralized(); err == nil {
+		t.Error("no dimensions should fail")
+	}
+	if _, err := NewGeneralized(2, 1); err == nil {
+		t.Error("radix 1 should fail")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustNewGeneralized(1) should panic")
+		}
+	}()
+	MustNewGeneralized(1)
+}
+
 func TestGeneralizedFacade(t *testing.T) {
 	g := MustNewGeneralized(2, 3, 2)
 	if g.Dim() != 3 || g.Nodes() != 12 {
@@ -284,7 +299,7 @@ func TestGeneralizedFacade(t *testing.T) {
 	if got := r.PathString(g); got != "010 -> 000 -> 001 -> 101" {
 		t.Errorf("path = %s", got)
 	}
-	if r.Hops() != 3 || r.Distance != 3 {
+	if r.Hops() != 3 || r.Hamming != 3 {
 		t.Error("distance bookkeeping wrong")
 	}
 	cond, out := g.Feasibility(g.MustParse("010"), g.MustParse("101"))
@@ -293,19 +308,18 @@ func TestGeneralizedFacade(t *testing.T) {
 	}
 }
 
-func TestGeneralizedValidation(t *testing.T) {
-	if _, err := NewGeneralized(); err == nil {
-		t.Error("no dimensions should fail")
+// TestGRouteHopsEmpty checks the zero-hop routes of a generalized
+// hypercube: the zero Route and a unicast from a node to itself.
+func TestGRouteHopsEmpty(t *testing.T) {
+	r := &Route{}
+	if r.Hops() != 0 {
+		t.Error("empty route has 0 hops")
 	}
-	if _, err := NewGeneralized(2, 1); err == nil {
-		t.Error("radix 1 should fail")
+	g := MustNewGeneralized(2, 3, 2)
+	a := g.MustParse("021")
+	if self := g.Unicast(a, a); self.Hops() != 0 || self.Hamming != 0 {
+		t.Errorf("self route = %d hops, Hamming %d, want 0/0", self.Hops(), self.Hamming)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNewGeneralized(1) should panic")
-		}
-	}()
-	MustNewGeneralized(1)
 }
 
 func TestGeneralizedInjectAndDistance(t *testing.T) {
@@ -315,7 +329,7 @@ func TestGeneralizedInjectAndDistance(t *testing.T) {
 	}
 	n := 0
 	for a := 0; a < g.Nodes(); a++ {
-		if g.NodeFaulty(GNodeID(a)) {
+		if g.NodeFaulty(NodeID(a)) {
 			n++
 		}
 	}
@@ -324,13 +338,6 @@ func TestGeneralizedInjectAndDistance(t *testing.T) {
 	}
 	if g.Distance(g.MustParse("000"), g.MustParse("222")) != 3 {
 		t.Error("distance wrong")
-	}
-}
-
-func TestGRouteHopsEmpty(t *testing.T) {
-	r := &GRoute{}
-	if r.Hops() != 0 {
-		t.Error("empty route has 0 hops")
 	}
 }
 
@@ -440,24 +447,6 @@ func TestFacadeSmallSurface(t *testing.T) {
 		if !lv.Safe(a) {
 			t.Error("SafeSet and Safe disagree")
 		}
-	}
-	// Generalized small surface.
-	g := MustNewGeneralized(2, 3, 2)
-	if got := g.Format(g.MustParse("021")); got != "021" {
-		t.Errorf("GH Format = %q", got)
-	}
-	if !g.Connected() {
-		t.Error("fault-free GH connected")
-	}
-	glv := g.ComputeLevels()
-	if glv.Rounds() != 0 {
-		t.Errorf("fault-free GH rounds = %d", glv.Rounds())
-	}
-	if err := g.FailNamed("09"); err == nil {
-		t.Error("bad GH address should error")
-	}
-	if err := g.FailNamed("011", "011"); err != nil {
-		t.Error("idempotent refail should not error")
 	}
 }
 

@@ -3,7 +3,6 @@ package safecube
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/serve"
 )
@@ -50,15 +49,16 @@ type ServeOptions struct {
 // done.
 //
 // The Server clones the facade's fault state at creation: later
-// mutations of the originating Cube/Generalized do not reach the
-// Server, and Server churn does not reach the facade. Feed churn to
+// mutations of the originating Cube do not reach the Server, and Server churn does not reach the facade. Feed churn to
 // the Server through its own FailNode/RecoverNode/FailLink/RecoverLink.
 type Server struct {
 	svc *serve.Service
 }
 
-func serveFrom(set *faults.Set, opts ServeOptions) (*Server, error) {
-	svc, err := serve.New(set, serve.Options{
+// Serve starts a route-serving engine over a copy of the cube's
+// current fault set.
+func (c *Cube) Serve(opts ServeOptions) (*Server, error) {
+	svc, err := serve.New(c.set, serve.Options{
 		QueueDepth: opts.QueueDepth,
 		Workers:    opts.Workers,
 		Rate:       opts.Rate,
@@ -71,19 +71,6 @@ func serveFrom(set *faults.Set, opts ServeOptions) (*Server, error) {
 		return nil, err
 	}
 	return &Server{svc: svc}, nil
-}
-
-// Serve starts a route-serving engine over a copy of the cube's
-// current fault set.
-func (c *Cube) Serve(opts ServeOptions) (*Server, error) {
-	return serveFrom(c.set, opts)
-}
-
-// Serve starts a route-serving engine over a copy of the generalized
-// hypercube's current fault set. NodeID and GNodeID are the same type,
-// so the Server API is shared between both facades.
-func (g *Generalized) Serve(opts ServeOptions) (*Server, error) {
-	return serveFrom(g.set, opts)
 }
 
 // Generation returns the fault-set generation of the currently
@@ -227,6 +214,13 @@ func (s *Server) FailLink(a, b NodeID) error { return s.svc.FailLink(a, b) }
 // RecoverLink enqueues a link recovery.
 func (s *Server) RecoverLink(a, b NodeID) error { return s.svc.RecoverLink(a, b) }
 
+// TryApply enqueues one churn event without blocking: when the apply
+// queue is full it refuses with ErrServerBacklog instead of waiting —
+// the form for fault reporters that must not stall behind a churn
+// storm (slserve's /fault). The blocking FailNode family is for
+// callers whose declarations must land.
+func (s *Server) TryApply(ev faults.ChurnEvent) error { return s.svc.TryApply(ev) }
+
 // Flush blocks until every churn event enqueued before the call has
 // been applied and published.
 func (s *Server) Flush() { s.svc.Flush() }
@@ -262,19 +256,3 @@ var (
 	// Shutdown (or Close) has begun.
 	ErrServerDraining = serve.ErrDraining
 )
-
-func routeOf(r *core.Route) *Route {
-	if r == nil {
-		return nil
-	}
-	return &Route{
-		Source:    r.Source,
-		Dest:      r.Dest,
-		Hamming:   r.Hamming,
-		Outcome:   r.Outcome,
-		Condition: r.Condition,
-		Path:      append([]NodeID(nil), r.Path...),
-		Err:       r.Err,
-		RequestID: r.FlightID,
-	}
-}

@@ -1,6 +1,8 @@
 package safecube
 
 import (
+	"context"
+	"fmt"
 	"testing"
 )
 
@@ -22,22 +24,7 @@ func TestServeFacadeCube(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Parity with the direct facade on the identical fault set.
-	for s := 0; s < c.Nodes(); s++ {
-		for d := 0; d < c.Nodes(); d++ {
-			got := srv.Unicast(NodeID(s), NodeID(d))
-			want := c.Unicast(NodeID(s), NodeID(d))
-			if got.Outcome != want.Outcome || got.Condition != want.Condition ||
-				got.Hamming != want.Hamming || len(got.Path) != len(want.Path) {
-				t.Fatalf("route %d->%d: server %+v, facade %+v", s, d, got, want)
-			}
-			for i := range got.Path {
-				if got.Path[i] != want.Path[i] {
-					t.Fatalf("route %d->%d path diverges at hop %d", s, d, i)
-				}
-			}
-		}
-	}
+	checkServeParity(t, c, srv)
 
 	// Batch answers in request order; fan-out indexed by destination.
 	pairs := []TrafficPair{{0, 31}, {2, 9}, {31, 0}}
@@ -97,13 +84,34 @@ func TestServeFacadeCube(t *testing.T) {
 	}
 }
 
-// TestServeFacadeGeneralized checks that the same Server type serves
-// the generalized facade (GNodeID and NodeID are one type).
-func TestServeFacadeGeneralized(t *testing.T) {
-	g, err := NewGeneralized(2, 3, 4)
-	if err != nil {
-		t.Fatal(err)
+// checkServeParity checks that srv answers every pair, admission test
+// and level exactly like the facade c it was started from.
+func checkServeParity(t *testing.T, c *Cube, srv *Server) {
+	t.Helper()
+	lv := c.ComputeLevels()
+	for s := 0; s < c.Nodes(); s++ {
+		if got, want := srv.Level(NodeID(s)), lv.Level(NodeID(s)); got != want {
+			t.Fatalf("node %d: server level %d, facade level %d", s, got, want)
+		}
+		for d := 0; d < c.Nodes(); d++ {
+			got := srv.Unicast(NodeID(s), NodeID(d))
+			want := c.Unicast(NodeID(s), NodeID(d))
+			if got.Outcome != want.Outcome || got.Condition != want.Condition ||
+				got.Hamming != want.Hamming || fmt.Sprint(got.Path) != fmt.Sprint(want.Path) {
+				t.Fatalf("route %d->%d: server %+v, facade %+v", s, d, got, want)
+			}
+			cond, out := srv.Feasibility(NodeID(s), NodeID(d))
+			if wc, wo := c.Feasibility(NodeID(s), NodeID(d)); cond != wc || out != wo {
+				t.Fatalf("feasibility %d->%d: server (%v,%v), facade (%v,%v)", s, d, cond, out, wc, wo)
+			}
+		}
 	}
+}
+
+// TestServeFacadeGeneralized checks that the same Server serves a
+// generalized hypercube.
+func TestServeFacadeGeneralized(t *testing.T) {
+	g := MustNewGeneralized(2, 3, 4)
 	if err := g.FailNodes(5, 11); err != nil {
 		t.Fatal(err)
 	}
@@ -112,27 +120,33 @@ func TestServeFacadeGeneralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	checkServeParity(t, g, srv)
+}
 
-	for s := 0; s < g.Nodes(); s++ {
-		for d := 0; d < g.Nodes(); d++ {
-			got := srv.Unicast(GNodeID(s), GNodeID(d))
-			want := g.Unicast(GNodeID(s), GNodeID(d))
-			if got.Outcome != want.Outcome || got.Hamming != want.Distance ||
-				len(got.Path) != len(want.Path) {
-				t.Fatalf("route %d->%d: server %+v, facade %+v", s, d, got, want)
-			}
+// TestServeRouteGeneration checks that served routes carry the
+// generation of the snapshot they were routed on; facade routes carry 0.
+func TestServeRouteGeneration(t *testing.T) {
+	c := MustNew(5)
+	srv, err := c.Serve(ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.FailNode(7); err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush()
+	ctxRoute, err := srv.UnicastCtx(context.Background(), 0, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := srv.Generation()
+	for _, r := range append(srv.BatchUnicast([]TrafficPair{{0, 31}}), srv.Unicast(0, 31), ctxRoute) {
+		if gen == 0 || r.Generation != gen {
+			t.Errorf("served route generation %d, want %d (nonzero)", r.Generation, gen)
 		}
 	}
-	lv := g.ComputeLevels()
-	for a := 0; a < g.Nodes(); a++ {
-		if srv.Level(GNodeID(a)) != lv.Level(GNodeID(a)) {
-			t.Fatalf("node %d: server level %d, facade level %d",
-				a, srv.Level(GNodeID(a)), lv.Level(GNodeID(a)))
-		}
-	}
-	cond, out := srv.Feasibility(0, 23)
-	wc, wo := g.Feasibility(0, 23)
-	if cond != wc || out != wo {
-		t.Fatalf("feasibility mismatch: (%v,%v) vs (%v,%v)", cond, out, wc, wo)
+	if r := c.Unicast(0, 31); r.Generation != 0 {
+		t.Errorf("facade route generation %d, want 0", r.Generation)
 	}
 }

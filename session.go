@@ -2,6 +2,7 @@ package safecube
 
 import (
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // ErrBlocked reports that an in-flight unicast can no longer choose a
@@ -23,8 +24,12 @@ type RouteSession struct {
 // StartUnicast admits a unicast from s to d and returns the session.
 // On Failure the session is nil (the message never leaves the source).
 func (c *Cube) StartUnicast(s, d NodeID) (*RouteSession, Condition, Outcome) {
-	lv := c.ComputeLevels()
-	sess, cond, out := core.NewRouter(lv.as, nil).Observe(c.routeObs).Start(s, d)
+	return c.start(s, d, c.routeObs)
+}
+
+// start admits a unicast on a router reporting to ro.
+func (c *Cube) start(s, d NodeID, ro *obs.RouteObserver) (*RouteSession, Condition, Outcome) {
+	sess, cond, out := c.router(ro).Start(s, d)
 	if sess == nil {
 		return nil, cond, out
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt build vet test race fuzz bench-smoke bench-hot bench-json load-smoke flight-smoke scenario-smoke wire-smoke diagnose-smoke scale-smoke cover staticcheck ci
+.PHONY: all fmt build vet test race fuzz bench-smoke bench-check bench-hot bench-json load-smoke flight-smoke scenario-smoke wire-smoke diagnose-smoke scale-smoke cover staticcheck ci
 
 all: ci
 
@@ -34,11 +34,19 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSyndrome$$' -fuzztime $(FUZZTIME) ./internal/diagnose
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/topo
 	$(GO) test -run '^$$' -fuzz '^FuzzNavVector$$' -fuzztime $(FUZZTIME) ./internal/topo
+	$(GO) test -run '^$$' -fuzz '^FuzzHTTPQuery$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # One iteration of every benchmark: catches bit-rot in the measurement
 # code without paying for real measurements.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Vet and test the benchmark module (its own go.mod under slbench/).
+# TestTinyRunEachWorkload builds cmd/slserve and drives it over HTTP
+# and wire with reply verification, so a request-surface change that
+# breaks the benchmark fails here rather than in a benchmark run.
+bench-check:
+	cd slbench && $(GO) vet ./... && $(GO) test ./...
 
 # The hot-path benchmark set the CI bench-gate watches. BENCH_OUT
 # captures the raw output for benchstat / internal/ci/benchgate; the

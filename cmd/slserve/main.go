@@ -47,17 +47,23 @@
 //	                            (?format=text)
 //	/debug/pprof/*, /debug/vars profiling + expvar (only with -pprof)
 //
-// The query endpoints accept an optional deadline=DURATION parameter,
-// clamped to the -deadline flag. Status codes on the query endpoints:
-// 200 served, 400 bad request, 429 shed by admission control (-rate),
-// 503 draining after a shutdown signal, 504 deadline exceeded.
+// The data-plane endpoints (/route, /batch, /routeall, /fault) are the
+// HTTP codec of internal/serve, the same request surface the wire
+// protocol decodes into, so both transports serve or refuse a request
+// alike. The query endpoints accept an optional deadline=DURATION
+// parameter, clamped to the -deadline flag; the flag caps wire frames
+// too. Status codes on the data plane: 200 served, 202 fault queued,
+// 400 malformed parameter, 413 batch over 4096 pairs, 422 invalid
+// fault (e.g. a link between non-neighbours), 429 shed by admission
+// control (-rate) or churn queue full (/fault, with Retry-After), 499
+// client canceled, 503 draining after a shutdown signal, 504 deadline
+// exceeded.
 //
 // Addresses use the topology's own notation: n-bit binary strings for
 // a cube ("0110"), per-dimension digit strings for a generalized
 // hypercube ("121"). Fault posts return 202: churn is asynchronous and
 // the snapshot generation in /healthz advances once it is applied. A
-// fault post never blocks: with the churn queue full it answers 429
-// with Retry-After.
+// fault post never blocks.
 //
 // Self-healing monitor (-monitor-target URL): probe an upstream
 // slserve's /probe endpoint for every node, declare a node into THIS
@@ -87,7 +93,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"flag"
@@ -105,7 +110,6 @@ import (
 
 	safecube "repro"
 	"repro/internal/diagnose"
-	"repro/internal/faults"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 )
@@ -190,6 +194,7 @@ func run(args []string, out io.Writer) (int, error) {
 		Workers:    *workers,
 		Rate:       *rate,
 		Burst:      *burst,
+		Deadline:   *deadline,
 		Registry:   reg,
 		Flight:     flight,
 		NoFlight:   *noFlight,
@@ -282,7 +287,6 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 	mux := newHandler(srv, c, reg, handlerOpts{
 		queueCap: queueCap,
-		deadline: *deadline,
 		pprof:    *pprofOn,
 		mon:      mon,
 		diag:     diag,
@@ -340,43 +344,9 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 }
 
-// routeJSON is the wire form of one route result.
-type routeJSON struct {
-	Src       string   `json:"src"`
-	Dst       string   `json:"dst"`
-	Outcome   string   `json:"outcome"`
-	Condition string   `json:"condition"`
-	Distance  int      `json:"distance"`
-	Hops      int      `json:"hops"`
-	Path      []string `json:"path,omitempty"`
-	Err       string   `json:"err,omitempty"`
-}
-
-func routeWire(r *safecube.Route, c *safecube.Cube) routeJSON {
-	out := routeJSON{
-		Src:       c.Format(r.Source),
-		Dst:       c.Format(r.Dest),
-		Outcome:   r.Outcome.String(),
-		Condition: r.Condition.String(),
-		Distance:  r.Hamming,
-		Hops:      r.Hops(),
-	}
-	for _, a := range r.Path {
-		out.Path = append(out.Path, c.Format(a))
-	}
-	if r.Err != nil {
-		out.Err = r.Err.Error()
-	}
-	return out
-}
-
 // handlerOpts configure the HTTP surface.
 type handlerOpts struct {
 	queueCap int
-	// deadline caps (and defaults) the per-request deadline; requests
-	// may lower it with ?deadline=DURATION but never raise it past
-	// this. 0 disables server-imposed deadlines.
-	deadline time.Duration
 	// pprof mounts /debug/pprof/* and /debug/vars.
 	pprof bool
 	// mon, when non-nil, backs the /monitor status endpoint.
@@ -393,247 +363,50 @@ type handlerOpts struct {
 // and /vars exposition.
 func newHandler(srv *safecube.Server, c *safecube.Cube, reg *safecube.Registry, opts handlerOpts) http.Handler {
 	mux := reg.Mux()
+	srv.MountHTTP(mux)
 
-	node := func(w http.ResponseWriter, r *http.Request, key string) (safecube.NodeID, bool) {
-		v := r.URL.Query().Get(key)
+	mux.HandleFunc("/probe", reg.Timed(obs.MetricLatencyHTTPProbe, func(w http.ResponseWriter, r *http.Request) {
+		v := r.URL.Query().Get("node")
 		if v == "" {
-			httpErr(w, http.StatusBadRequest, fmt.Errorf("missing %q parameter", key))
-			return 0, false
+			obs.ServeError(w, http.StatusBadRequest, errors.New(`missing "node" parameter`))
+			return
 		}
 		a, err := c.Parse(v)
 		if err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return 0, false
-		}
-		return a, true
-	}
-
-	// reqCtx derives the request context: the server ceiling from
-	// opts.deadline, optionally tightened by a ?deadline= parameter.
-	reqCtx := func(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-		limit := opts.deadline
-		if raw := r.URL.Query().Get("deadline"); raw != "" {
-			d, err := time.ParseDuration(raw)
-			if err != nil || d <= 0 {
-				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad deadline %q, want a positive duration", raw))
-				return nil, nil, false
-			}
-			if limit == 0 || d < limit {
-				limit = d
-			}
-		}
-		if limit == 0 {
-			return r.Context(), func() {}, true
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), limit)
-		return ctx, cancel, true
-	}
-
-	// instrument wraps a handler with its endpoint latency histogram
-	// (wall time including encoding, recorded in microseconds).
-	instrument := func(name string, h http.HandlerFunc) http.HandlerFunc {
-		hist := reg.LatencyHistogram(name)
-		return func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			h(w, r)
-			hist.ObserveSince(start)
-		}
-	}
-
-	mux.HandleFunc("/route", instrument(obs.MetricLatencyHTTPRoute, func(w http.ResponseWriter, r *http.Request) {
-		src, ok := node(w, r, "src")
-		if !ok {
-			return
-		}
-		dst, ok := node(w, r, "dst")
-		if !ok {
-			return
-		}
-		ctx, cancel, ok := reqCtx(w, r)
-		if !ok {
-			return
-		}
-		defer cancel()
-		rt, err := srv.UnicastCtx(ctx, src, dst)
-		if err != nil {
-			serveErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"generation": rt.Generation,
-			"request_id": rt.RequestID,
-			"route":      routeWire(rt, c),
-		})
-	}))
-
-	mux.HandleFunc("/batch", instrument(obs.MetricLatencyHTTPBatch, func(w http.ResponseWriter, r *http.Request) {
-		raw := r.URL.Query().Get("pairs")
-		if raw == "" {
-			httpErr(w, http.StatusBadRequest, errors.New(`missing "pairs" parameter (want "SRC-DST,SRC-DST,...")`))
-			return
-		}
-		var pairs []safecube.TrafficPair
-		for _, item := range splitList(raw) {
-			ab := strings.SplitN(item, "-", 2)
-			if len(ab) != 2 {
-				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad pair %q, want SRC-DST", item))
-				return
-			}
-			src, err := c.Parse(ab[0])
-			if err != nil {
-				httpErr(w, http.StatusBadRequest, err)
-				return
-			}
-			dst, err := c.Parse(ab[1])
-			if err != nil {
-				httpErr(w, http.StatusBadRequest, err)
-				return
-			}
-			pairs = append(pairs, safecube.TrafficPair{Src: src, Dst: dst})
-		}
-		ctx, cancel, ok := reqCtx(w, r)
-		if !ok {
-			return
-		}
-		defer cancel()
-		routes, err := srv.BatchUnicastCtx(ctx, pairs)
-		if err != nil {
-			serveErr(w, err)
-			return
-		}
-		// Every route of a batch shares one snapshot; an empty batch
-		// routed on none and reports the current generation.
-		gen := srv.Generation()
-		wire := make([]routeJSON, len(routes))
-		for i, rt := range routes {
-			wire[i] = routeWire(rt, c)
-			gen = rt.Generation
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"generation": gen,
-			"routes":     wire,
-		})
-	}))
-
-	mux.HandleFunc("/routeall", instrument(obs.MetricLatencyHTTPRouteAll, func(w http.ResponseWriter, r *http.Request) {
-		src, ok := node(w, r, "src")
-		if !ok {
-			return
-		}
-		ctx, cancel, ok := reqCtx(w, r)
-		if !ok {
-			return
-		}
-		defer cancel()
-		all, err := srv.RouteAllCtx(ctx, src)
-		if err != nil {
-			serveErr(w, err)
-			return
-		}
-		gen := srv.Generation()
-		wire := make([]routeJSON, 0, len(all)-1)
-		delivered := 0
-		for _, rt := range all {
-			if rt == nil {
-				continue
-			}
-			if rt.Outcome != safecube.Failure {
-				delivered++
-			}
-			wire = append(wire, routeWire(rt, c))
-			gen = rt.Generation
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"generation": gen,
-			"delivered":  delivered,
-			"routes":     wire,
-		})
-	}))
-
-	mux.HandleFunc("/fault", instrument(obs.MetricLatencyHTTPFault, func(w http.ResponseWriter, r *http.Request) {
-		op := r.URL.Query().Get("op")
-		a, ok := node(w, r, "a")
-		if !ok {
-			return
-		}
-		ev := faults.ChurnEvent{A: a}
-		switch op {
-		case "fail-node":
-			ev.Kind = faults.DeltaFailNode
-		case "recover-node":
-			ev.Kind = faults.DeltaRecoverNode
-		case "fail-link", "recover-link":
-			b, ok := node(w, r, "b")
-			if !ok {
-				return
-			}
-			ev.Kind, ev.B = faults.DeltaFailLink, b
-			if op == "recover-link" {
-				ev.Kind = faults.DeltaRecoverLink
-			}
-		default:
-			httpErr(w, http.StatusBadRequest,
-				fmt.Errorf("bad op %q, want fail-node, recover-node, fail-link or recover-link", op))
-			return
-		}
-		// Non-blocking enqueue: a full churn queue answers 429 with
-		// Retry-After at once instead of stalling the reporter.
-		if err := srv.TryApply(ev); err != nil {
-			switch {
-			case errors.Is(err, safecube.ErrServerBacklog):
-				w.Header().Set("Retry-After", "1")
-				httpErr(w, http.StatusTooManyRequests, err)
-			case errors.Is(err, safecube.ErrServerClosed):
-				httpErr(w, http.StatusServiceUnavailable, err)
-			default:
-				httpErr(w, http.StatusUnprocessableEntity, err)
-			}
-			return
-		}
-		// 202: churn is asynchronous; the generation advances on publish.
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"queued":      true,
-			"generation":  srv.Generation(),
-			"queue_depth": srv.QueueDepth(),
-		})
-	}))
-
-	mux.HandleFunc("/probe", instrument(obs.MetricLatencyHTTPProbe, func(w http.ResponseWriter, r *http.Request) {
-		a, ok := node(w, r, "node")
-		if !ok {
+			obs.ServeError(w, http.StatusBadRequest, err)
 			return
 		}
 		// 503 for a faulty node so any status-driven prober (including
 		// monitor.HTTPProber) reads it as a miss without parsing JSON.
 		if srv.NodeFaulty(a) {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			obs.ServeJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"node": c.Format(a), "faulty": true,
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		obs.ServeJSON(w, http.StatusOK, map[string]any{
 			"node": c.Format(a), "faulty": false, "level": srv.Level(a),
 		})
 	}))
 
 	mux.HandleFunc("/monitor", func(w http.ResponseWriter, r *http.Request) {
 		if opts.mon == nil {
-			httpErr(w, http.StatusNotFound, errors.New("monitor disabled (start slserve with -monitor-target)"))
+			obs.ServeError(w, http.StatusNotFound, errors.New("monitor disabled (start slserve with -monitor-target)"))
 			return
 		}
-		writeJSON(w, http.StatusOK, opts.mon.Status())
+		obs.ServeJSON(w, http.StatusOK, opts.mon.Status())
 	})
 
 	// /syndrome is always mounted: any slserve can be the tested system,
 	// whether or not it also runs a diagnoser. The syndrome is collected
 	// from ONE published snapshot, so every neighbor test in the sweep
 	// observes the same fault-set generation.
-	mux.HandleFunc("/syndrome", instrument(obs.MetricLatencyHTTPSyndrome, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/syndrome", reg.Timed(obs.MetricLatencyHTTPSyndrome, func(w http.ResponseWriter, r *http.Request) {
 		seed := opts.diagSeed
 		if raw := r.URL.Query().Get("seed"); raw != "" {
 			v, err := strconv.ParseUint(raw, 10, 64)
 			if err != nil {
-				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad seed %q, want an unsigned integer", raw))
+				obs.ServeError(w, http.StatusBadRequest, fmt.Errorf("bad seed %q, want an unsigned integer", raw))
 				return
 			}
 			seed = v
@@ -642,25 +415,25 @@ func newHandler(srv *safecube.Server, c *safecube.Cube, reg *safecube.Registry, 
 		if raw := r.URL.Query().Get("adversary"); raw != "" {
 			v, err := diagnose.ParseAdversary(raw)
 			if err != nil {
-				httpErr(w, http.StatusBadRequest, err)
+				obs.ServeError(w, http.StatusBadRequest, err)
 				return
 			}
 			adv = v
 		}
 		syn := diagnose.Collect(srv.CurrentFaults(), diagnose.CollectOptions{Seed: seed, Adversary: adv})
-		writeJSON(w, http.StatusOK, syn)
+		obs.ServeJSON(w, http.StatusOK, syn)
 	}))
 
 	mux.HandleFunc("/diagnosis", func(w http.ResponseWriter, r *http.Request) {
 		if opts.diag == nil {
-			httpErr(w, http.StatusNotFound, errors.New("diagnosis disabled (start slserve with -diagnose-target)"))
+			obs.ServeError(w, http.StatusNotFound, errors.New("diagnosis disabled (start slserve with -diagnose-target)"))
 			return
 		}
-		writeJSON(w, http.StatusOK, opts.diag.Status())
+		obs.ServeJSON(w, http.StatusOK, opts.diag.Status())
 	})
 
-	mux.HandleFunc("/healthz", instrument(obs.MetricLatencyHTTPHealthz, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+	mux.HandleFunc("/healthz", reg.Timed(obs.MetricLatencyHTTPHealthz, func(w http.ResponseWriter, r *http.Request) {
+		obs.ServeJSON(w, http.StatusOK, map[string]any{
 			"generation":  srv.Generation(),
 			"queue_depth": srv.QueueDepth(),
 			"queue_cap":   opts.queueCap,
@@ -678,7 +451,7 @@ func newHandler(srv *safecube.Server, c *safecube.Cube, reg *safecube.Registry, 
 		if raw := r.URL.Query().Get("limit"); raw != "" {
 			n, err := strconv.Atoi(raw)
 			if err != nil || n < 0 {
-				httpErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q, want a non-negative integer", raw))
+				obs.ServeError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q, want a non-negative integer", raw))
 				return
 			}
 			limit = n
@@ -689,7 +462,7 @@ func newHandler(srv *safecube.Server, c *safecube.Cube, reg *safecube.Registry, 
 			_ = obs.WriteFlightText(w, snap)
 			return
 		}
-		writeJSON(w, http.StatusOK, snap)
+		obs.ServeJSON(w, http.StatusOK, snap)
 	})
 	mux.HandleFunc("/debug/incidents", func(w http.ResponseWriter, r *http.Request) {
 		snap := srv.Flight().Incidents()
@@ -700,7 +473,7 @@ func newHandler(srv *safecube.Server, c *safecube.Cube, reg *safecube.Registry, 
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, snap)
+		obs.ServeJSON(w, http.StatusOK, snap)
 	})
 
 	if opts.pprof {
@@ -713,37 +486,6 @@ func newHandler(srv *safecube.Server, c *safecube.Cube, reg *safecube.Registry, 
 	}
 
 	return mux
-}
-
-// serveErr maps an engine error on the query path to its status code:
-// shedding, draining and deadline expiry each get a distinct one so
-// clients (and the slload report) can tell them apart.
-func serveErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, safecube.ErrServerOverload):
-		httpErr(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, safecube.ErrServerDraining):
-		httpErr(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		httpErr(w, http.StatusGatewayTimeout, err)
-	case errors.Is(err, context.Canceled):
-		// The client went away; 499 is the conventional (nginx) code.
-		httpErr(w, 499, err)
-	default:
-		httpErr(w, http.StatusInternalServerError, err)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // newCube builds Q_n, or the generalized hypercube of the given shape

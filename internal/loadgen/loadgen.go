@@ -36,7 +36,7 @@ func Classify(err error) string {
 		return ClassOverload
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, wire.ErrDeadline):
 		return ClassDeadline
-	case errors.Is(err, serve.ErrDraining), errors.Is(err, wire.ErrDraining):
+	case errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrClosed), errors.Is(err, wire.ErrDraining):
 		return ClassDraining
 	case errors.Is(err, serve.ErrBacklog), errors.Is(err, wire.ErrBacklog):
 		return ClassBacklog

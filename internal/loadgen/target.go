@@ -13,19 +13,21 @@ import (
 	"repro/internal/topo"
 )
 
-// faultEvent builds the churn event for toggling node a.
-func faultEvent(a topo.NodeID, down bool) faults.ChurnEvent {
+// faultEvent builds the churn event failing (down) or recovering
+// node a.
+func faultEvent(a int, down bool) faults.ChurnEvent {
 	kind := faults.DeltaRecoverNode
 	if down {
 		kind = faults.DeltaFailNode
 	}
-	return faults.ChurnEvent{Kind: kind, A: a}
+	return faults.ChurnEvent{Kind: kind, A: topo.NodeID(a)}
 }
 
 // LocalTarget drives an in-process serve.Service through its
-// context-aware readers — the same code path cmd/slserve handlers use,
-// minus HTTP. Fault injection goes through TryApply so a full churn
-// queue surfaces as ClassBacklog instead of stalling the storm.
+// context-aware readers — the readers serve.Handle serves both
+// transports with, minus the codecs. Fault injection goes through
+// TryApply so a full churn queue surfaces as ClassBacklog instead of
+// stalling the storm.
 type LocalTarget struct {
 	Svc *serve.Service
 }
@@ -51,9 +53,8 @@ func (l LocalTarget) RouteAll(ctx context.Context, src int) error {
 	return err
 }
 
-func (l LocalTarget) Fault(_ context.Context, a int, down bool) error {
-	ev := faultEvent(topo.NodeID(a), down)
-	return l.Svc.TryApply(ev)
+func (l LocalTarget) Fault(ctx context.Context, a int, down bool) error {
+	return l.ApplyEvent(ctx, faultEvent(a, down))
 }
 
 func (l LocalTarget) ApplyEvent(_ context.Context, ev faults.ChurnEvent) error {
@@ -61,8 +62,8 @@ func (l LocalTarget) ApplyEvent(_ context.Context, ev faults.ChurnEvent) error {
 }
 
 // HTTPTarget drives a remote slserve over its HTTP endpoints,
-// translating the server's status-code taxonomy back into the
-// canonical errors so Classify works identically for both targets.
+// translating each status back into its sentinel through the serve
+// refusal table so Classify works identically for every target.
 type HTTPTarget struct {
 	// Base is the server root, e.g. "http://localhost:8080".
 	Base string
@@ -108,23 +109,9 @@ func (h HTTPTarget) get(ctx context.Context, path string, q url.Values) error {
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusAccepted:
-		return nil
-	case http.StatusTooManyRequests:
-		// /fault has no admission control: its 429 can only be a full
-		// churn queue.
-		if path == "/fault" {
-			return serve.ErrBacklog
-		}
-		return serve.ErrOverload
-	case http.StatusServiceUnavailable:
-		return serve.ErrDraining
-	case http.StatusGatewayTimeout:
-		return context.DeadlineExceeded
-	default:
-		return fmt.Errorf("loadgen: %s: status %d", path, resp.StatusCode)
-	}
+	// /fault has no admission control: its 429 can only be a full churn
+	// queue, its 503 only a closed service.
+	return serve.StatusErr(resp.StatusCode, path == "/fault")
 }
 
 func (h HTTPTarget) fmtNode(a int) string {
@@ -151,11 +138,7 @@ func (h HTTPTarget) RouteAll(ctx context.Context, src int) error {
 }
 
 func (h HTTPTarget) Fault(ctx context.Context, a int, down bool) error {
-	op := "recover-node"
-	if down {
-		op = "fail-node"
-	}
-	return h.get(ctx, "/fault", url.Values{"op": {op}, "a": {h.fmtNode(a)}})
+	return h.ApplyEvent(ctx, faultEvent(a, down))
 }
 
 func (h HTTPTarget) ApplyEvent(ctx context.Context, ev faults.ChurnEvent) error {

@@ -59,12 +59,7 @@ func (w WireTarget) RouteAll(ctx context.Context, src int) error {
 }
 
 func (w WireTarget) Fault(ctx context.Context, a int, down bool) error {
-	kind := faults.DeltaRecoverNode
-	if down {
-		kind = faults.DeltaFailNode
-	}
-	_, err := w.Client.Fault(ctx, wire.FaultReq{Kind: uint8(kind), A: uint32(a)})
-	return err
+	return w.ApplyEvent(ctx, faultEvent(a, down))
 }
 
 func (w WireTarget) ApplyEvent(ctx context.Context, ev faults.ChurnEvent) error {

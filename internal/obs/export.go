@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 )
 
 // WriteJSON writes the registry snapshot as indented expvar-style JSON.
@@ -156,6 +157,31 @@ func (r *Registry) PromHandler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
+}
+
+// Timed wraps an HTTP handler with the named latency histogram: wall
+// time of the whole handler, encoding included, in microseconds.
+func (r *Registry) Timed(name string, h http.HandlerFunc) http.HandlerFunc {
+	hist := r.LatencyHistogram(name)
+	return func(w http.ResponseWriter, req *http.Request) {
+		start := time.Now()
+		h(w, req)
+		hist.ObserveSince(start)
+	}
+}
+
+// ServeJSON answers an HTTP request with code and v as indented JSON.
+func ServeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// ServeError answers an HTTP request with code and {"error": err}.
+func ServeError(w http.ResponseWriter, code int, err error) {
+	ServeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // Mux returns an http.ServeMux with the conventional endpoints wired:

@@ -20,7 +20,7 @@ import (
 // decision sequence.
 //
 // Hot-path cost model: one atomic ID allocation, one packed seqlock
-// ring write (stamp invalidate + 4 payload words + stamp commit, all
+// ring write (stamp claim by CAS + 4 payload words + stamp commit, all
 // word-sized atomics), and a handful of integer packs — no allocation,
 // no lock, no string. Trace reconstruction (which does allocate) runs
 // only on promotion, and promotion is rare by construction.
@@ -375,12 +375,14 @@ func unpack(w0, w1, w2, w3 uint64) FlightRecord {
 	}
 }
 
-// flightSlot is one seqlock-protected ring entry. The writer
-// invalidates the stamp, stores the payload words, then commits the
-// per-shard sequence number as the stamp; a reader accepts a slot only
-// when the stamp is nonzero and unchanged across its payload reads.
-// Stamps grow by the ring size per wrap, so a stamp value never recurs
-// on a slot and an interrupted write is always detected.
+// flightSlot is one seqlock-protected ring entry. A writer claims the
+// slot by CAS-ing the busy bit into the stamp, stores the payload
+// words, then commits its per-shard sequence number as the stamp; a
+// reader accepts a slot only when the stamp is nonzero, not busy, and
+// unchanged across its payload reads. The claim keeps two writers whose
+// sequence numbers wrap onto one slot from interleaving their stores.
+// Stamps only grow on a slot, so a stamp value never recurs and an
+// interrupted write is always detected.
 type flightSlot struct {
 	stamp atomic.Uint64
 	w0    atomic.Uint64
@@ -442,6 +444,9 @@ const (
 )
 
 const flightShards = 8
+
+// flightBusy is the stamp bit a writer holds while it owns a slot.
+const flightBusy = 1 << 63
 
 // defaultPromoteGapUS is the per-class promotion throttle (1ms).
 const defaultPromoteGapUS = 1000
@@ -538,12 +543,15 @@ func (f *FlightRecorder) Record(rec *FlightRecord) string {
 	w0, w1, w2, w3 := rec.pack()
 	seq := sh.seq.Add(1)
 	sl := &sh.slots[seq&sh.mask]
-	sl.stamp.Store(0)
-	sl.w0.Store(w0)
-	sl.w1.Store(w1)
-	sl.w2.Store(w2)
-	sl.w3.Store(w3)
-	sl.stamp.Store(seq)
+	// A writer that finds the slot claimed, or already holding a newer
+	// record, loses the race and drops its own record.
+	if old := sl.stamp.Load(); old&flightBusy == 0 && old < seq && sl.stamp.CompareAndSwap(old, old|flightBusy) {
+		sl.w0.Store(w0)
+		sl.w1.Store(w1)
+		sl.w2.Store(w2)
+		sl.w3.Store(w3)
+		sl.stamp.Store(seq)
+	}
 	f.mRecords.Inc()
 	reason, class := f.anomaly(rec)
 	if reason == "" {
@@ -641,7 +649,7 @@ func (f *FlightRecorder) Records(max int) []FlightRecord {
 		for j := range sh.slots {
 			sl := &sh.slots[j]
 			st := sl.stamp.Load()
-			if st == 0 {
+			if st == 0 || st&flightBusy != 0 {
 				continue
 			}
 			w0, w1, w2, w3 := sl.w0.Load(), sl.w1.Load(), sl.w2.Load(), sl.w3.Load()

@@ -14,9 +14,9 @@ import "time"
 
 // Names of the latency metric series. All record microseconds into
 // LatencyBuckets; the serve-engine ones are observed inside
-// internal/serve, the http_* ones by cmd/slserve around each endpoint
-// handler (including encoding), and latency_repair_us by the applier
-// around one repair + publish cycle.
+// internal/serve, the http_* ones around each HTTP endpoint handler
+// (including encoding, see Registry.Timed), and latency_repair_us by
+// the applier around one repair + publish cycle.
 const (
 	MetricLatencyRoute    = "latency_route_us"
 	MetricLatencyBatch    = "latency_batch_us"

@@ -1,8 +1,7 @@
 package serve
 
 import (
-	"sync"
-	"sync/atomic"
+	"context"
 
 	"repro/internal/core"
 	"repro/internal/topo"
@@ -21,8 +20,8 @@ import (
 // the routes in request order. It never blocks on churn.
 func (s *Service) BatchUnicast(reqs []Request) []*core.Route {
 	sn := s.cur.Load()
-	s.mBatches.Inc()
-	s.mBatchN.Add(int64(len(reqs)))
+	s.batchM.calls.Inc()
+	s.batchM.items.Add(int64(len(reqs)))
 	if len(s.queue) > 0 {
 		s.mStale.Inc()
 	}
@@ -32,38 +31,7 @@ func (s *Service) BatchUnicast(reqs []Request) []*core.Route {
 // BatchUnicast answers every request pinned to this snapshot, fanned
 // over at most workers goroutines (<= 1 means sequential).
 func (sn *Snapshot) BatchUnicast(reqs []Request, workers int) []*core.Route {
-	out := make([]*core.Route, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers <= 1 {
-		for i, q := range reqs {
-			out[i] = sn.rt.Unicast(q.Src, q.Dst)
-		}
-		return out
-	}
-	// Work-stealing by atomic cursor: each worker claims the next
-	// unanswered index, so skewed per-route costs (short vs partitioned
-	// unicasts) cannot idle the pool.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				out[i] = sn.rt.Unicast(reqs[i].Src, reqs[i].Dst)
-			}
-		}()
-	}
-	wg.Wait()
+	out, _ := sn.batchUnicastCtx(context.Background(), reqs, workers)
 	return out
 }
 
@@ -73,18 +41,28 @@ func (sn *Snapshot) BatchUnicast(reqs []Request, workers int) []*core.Route {
 // the source's own slot is nil.
 func (s *Service) RouteAll(src topo.NodeID) []*core.Route {
 	sn := s.cur.Load()
+	reqs := s.fanout(src)
+	s.fanoutM.calls.Inc()
+	s.fanoutM.items.Add(int64(len(reqs)))
+	return s.byDest(reqs, sn.BatchUnicast(reqs, s.workers))
+}
+
+// fanout lists the requests of a fan-out from src: every other node in
+// ascending order.
+func (s *Service) fanout(src topo.NodeID) []Request {
 	nodes := s.t.Nodes()
 	reqs := make([]Request, 0, nodes-1)
 	for a := 0; a < nodes; a++ {
-		if topo.NodeID(a) == src {
-			continue
+		if topo.NodeID(a) != src {
+			reqs = append(reqs, Request{Src: src, Dst: topo.NodeID(a)})
 		}
-		reqs = append(reqs, Request{Src: src, Dst: topo.NodeID(a)})
 	}
-	s.mFanouts.Inc()
-	s.mFanoutN.Add(int64(len(reqs)))
-	routes := sn.BatchUnicast(reqs, s.workers)
-	out := make([]*core.Route, nodes)
+	return reqs
+}
+
+// byDest indexes a fan-out's routes by destination.
+func (s *Service) byDest(reqs []Request, routes []*core.Route) []*core.Route {
+	out := make([]*core.Route, s.t.Nodes())
 	for i, q := range reqs {
 		out[q.Dst] = routes[i]
 	}

@@ -2,40 +2,18 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// Flight-recorder glue for the serving path: classify serving errors
-// into compact obs.ErrClass codes, summarize a core.Route into the
+// Flight-recorder glue for the serving path: summarize a core.Route into the
 // packed record fields, and — only when a record is promoted to an
 // incident — reconstruct the full per-hop RouteTrace from the route's
 // decision record and the snapshot's level assignment. Nothing here
 // allocates on the healthy hot path; see obs/flight.go for the cost
 // model.
-
-// errClass maps a serving-path error to its flight-record class.
-func errClass(err error) obs.ErrClass {
-	switch {
-	case err == nil:
-		return obs.ErrClassNone
-	case errors.Is(err, ErrOverload):
-		return obs.ErrClassOverload
-	case errors.Is(err, ErrBacklog):
-		return obs.ErrClassBacklog
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
-		return obs.ErrClassDraining
-	case errors.Is(err, context.DeadlineExceeded):
-		return obs.ErrClassDeadline
-	case errors.Is(err, context.Canceled):
-		return obs.ErrClassCanceled
-	default:
-		return obs.ErrClassOther
-	}
-}
 
 // outcomeOf shifts a routed outcome into the flight encoding (0 is
 // reserved for "never routed").
@@ -87,7 +65,7 @@ func (s *Service) flightRefuse(kind obs.ReqKind, start time.Time, ctx context.Co
 		ID:    fl.NextID(),
 		Kind:  kind,
 		Items: items,
-		Err:   errClass(err),
+		Err:   refusalOf(err).class,
 	}
 	if !start.IsZero() {
 		rec.Start = start.Unix()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,7 +39,8 @@ import (
 
 // ErrOverload is returned by the context-aware readers when the
 // token-bucket admission controller sheds the request. It maps to HTTP
-// 429 in cmd/slserve. Compare ErrBacklog, the writer-side signal.
+// 429 (the refusal table, handle.go). Compare ErrBacklog, the
+// writer-side signal.
 var ErrOverload = errors.New("serve: overloaded, request shed")
 
 // ErrDraining is returned by the context-aware readers once Shutdown
@@ -145,6 +147,30 @@ func (s *Service) ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// admit lets a context-aware request of items unicasts in, or refuses
+// it: ErrDraining once Shutdown has begun, ctx.Err() once the context
+// is done, ErrOverload when the token bucket sheds it. A refusal is
+// flight-recorded; an admitted caller must release.
+func (s *Service) admit(ctx context.Context, kind obs.ReqKind, start time.Time, items int) error {
+	err := s.acquire()
+	if err == nil {
+		switch {
+		case ctx.Err() != nil:
+			err = s.ctxErr(ctx)
+		case !s.bucket.take(items):
+			s.mOverload.Inc()
+			err = ErrOverload
+		}
+		if err != nil {
+			s.release()
+		}
+	}
+	if err != nil {
+		s.flightRefuse(kind, start, ctx, items, err)
+	}
+	return err
+}
+
 // RouteCtx is Route with deadlines, admission control and drain
 // awareness: it refuses with ErrDraining after Shutdown begins, sheds
 // with ErrOverload beyond the configured rate, returns ctx.Err() once
@@ -156,21 +182,10 @@ func (s *Service) RouteCtx(ctx context.Context, src, dst topo.NodeID) (*core.Rou
 	if fl != nil {
 		start = time.Now()
 	}
-	if err := s.acquire(); err != nil {
-		s.flightRefuse(obs.ReqRoute, start, ctx, 1, err)
+	if err := s.admit(ctx, obs.ReqRoute, start, 1); err != nil {
 		return nil, err
 	}
 	defer s.release()
-	if err := ctx.Err(); err != nil {
-		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqRoute, start, ctx, 1, err)
-		return nil, err
-	}
-	if !s.bucket.take(1) {
-		s.mOverload.Inc()
-		s.flightRefuse(obs.ReqRoute, start, ctx, 1, ErrOverload)
-		return nil, ErrOverload
-	}
 	if fl == nil {
 		start = time.Now()
 		r := s.Route(src, dst)
@@ -228,122 +243,72 @@ func (s *Service) RouteCtx(ctx context.Context, src, dst topo.NodeID) (*core.Rou
 // context's deadline (partial results are discarded: the caller asked
 // for a mutually consistent answer set, and a truncated one is not).
 func (s *Service) BatchUnicastCtx(ctx context.Context, reqs []Request) ([]*core.Route, error) {
-	fl := s.flight
-	var start time.Time
-	if fl != nil {
-		start = time.Now()
-	}
-	if err := s.acquire(); err != nil {
-		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
-		return nil, err
-	}
-	defer s.release()
-	if err := ctx.Err(); err != nil {
-		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
-		return nil, err
-	}
-	if !s.bucket.take(len(reqs)) {
-		s.mOverload.Inc()
-		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), ErrOverload)
-		return nil, ErrOverload
-	}
-	if fl == nil {
-		start = time.Now()
-	}
-	sn := s.cur.Load()
-	s.mBatches.Inc()
-	s.mBatchN.Add(int64(len(reqs)))
-	stale := len(s.queue) > 0
-	if stale {
-		s.mStale.Inc()
-	}
-	out, err := sn.batchUnicastCtx(ctx, reqs, s.workers)
-	if err != nil {
-		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqBatch, start, ctx, len(reqs), err)
-		return nil, err
-	}
-	if fl == nil {
-		s.mLatBatch.ObserveSince(start)
-		return out, nil
-	}
-	s.flightServed(obs.ReqBatch, start, ctx, len(reqs), sn, stale, s.mLatBatch)
-	return out, nil
+	return s.pinnedCtx(ctx, reqs, &s.batchM)
 }
 
 // RouteAllCtx is RouteAll with the same hardening; admission costs one
 // token per destination.
 func (s *Service) RouteAllCtx(ctx context.Context, src topo.NodeID) ([]*core.Route, error) {
+	reqs := s.fanout(src)
+	routes, err := s.pinnedCtx(ctx, reqs, &s.fanoutM)
+	if err != nil {
+		return nil, err
+	}
+	return s.byDest(reqs, routes), nil
+}
+
+// pinnedMetrics names the flight kind and metric series of a family of
+// snapshot-pinned reads (a nil series is not counted).
+type pinnedMetrics struct {
+	kind                obs.ReqKind
+	calls, items, stale *obs.Counter
+	lat                 *obs.Histogram
+}
+
+// pinnedCtx is the hardened path of BatchUnicastCtx and RouteAllCtx:
+// admit, pin one snapshot, route every request on it.
+func (s *Service) pinnedCtx(ctx context.Context, reqs []Request, m *pinnedMetrics) ([]*core.Route, error) {
 	fl := s.flight
 	var start time.Time
 	if fl != nil {
 		start = time.Now()
 	}
-	nodes := s.t.Nodes()
-	if err := s.acquire(); err != nil {
-		s.flightRefuse(obs.ReqRouteAll, start, ctx, nodes-1, err)
+	if err := s.admit(ctx, m.kind, start, len(reqs)); err != nil {
 		return nil, err
 	}
 	defer s.release()
-	if err := ctx.Err(); err != nil {
-		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqRouteAll, start, ctx, nodes-1, err)
-		return nil, err
-	}
-	if !s.bucket.take(nodes - 1) {
-		s.mOverload.Inc()
-		s.flightRefuse(obs.ReqRouteAll, start, ctx, nodes-1, ErrOverload)
-		return nil, ErrOverload
-	}
 	if fl == nil {
 		start = time.Now()
 	}
 	sn := s.cur.Load()
+	m.calls.Inc()
+	m.items.Add(int64(len(reqs)))
 	stale := len(s.queue) > 0
-	reqs := make([]Request, 0, nodes-1)
-	for a := 0; a < nodes; a++ {
-		if topo.NodeID(a) == src {
-			continue
-		}
-		reqs = append(reqs, Request{Src: src, Dst: topo.NodeID(a)})
+	if stale {
+		m.stale.Inc()
 	}
-	s.mFanouts.Inc()
-	s.mFanoutN.Add(int64(len(reqs)))
-	routes, err := sn.batchUnicastCtx(ctx, reqs, s.workers)
+	out, err := sn.batchUnicastCtx(ctx, reqs, s.workers)
 	if err != nil {
 		err = s.ctxErr(ctx)
-		s.flightRefuse(obs.ReqRouteAll, start, ctx, len(reqs), err)
+		s.flightRefuse(m.kind, start, ctx, len(reqs), err)
 		return nil, err
 	}
-	out := make([]*core.Route, nodes)
-	for i, q := range reqs {
-		out[q.Dst] = routes[i]
-	}
 	if fl == nil {
-		s.mLatRouteAll.ObserveSince(start)
+		m.lat.ObserveSince(start)
 		return out, nil
 	}
-	s.flightServed(obs.ReqRouteAll, start, ctx, len(reqs), sn, stale, s.mLatRouteAll)
+	s.flightServed(m.kind, start, ctx, len(reqs), sn, stale, m.lat)
 	return out, nil
 }
 
-// batchUnicastCtx is Snapshot.BatchUnicast with cooperative
-// cancellation: every worker re-checks the context before claiming the
-// next index, so cancellation latency is bounded by one unicast, not
-// by the batch.
+// batchUnicastCtx answers every request pinned to this snapshot, fanned
+// over at most workers goroutines (<= 1 means sequential). Every worker
+// re-checks the context before claiming the next index, so cancellation
+// latency is bounded by one unicast, not by the batch; a canceled batch
+// returns ctx.Err() and no routes.
 func (sn *Snapshot) batchUnicastCtx(ctx context.Context, reqs []Request, workers int) ([]*core.Route, error) {
-	if len(reqs) == 0 {
-		return make([]*core.Route, 0), nil
-	}
-	if ctx.Done() == nil {
-		// No deadline and no cancellation possible: take the fast path.
-		return sn.BatchUnicast(reqs, workers), nil
-	}
 	out := make([]*core.Route, len(reqs))
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
+	workers = min(workers, len(reqs))
 	if workers <= 1 {
 		for i, q := range reqs {
 			if ctx.Err() != nil {
@@ -353,24 +318,25 @@ func (sn *Snapshot) batchUnicastCtx(ctx context.Context, reqs []Request, workers
 		}
 		return out, nil
 	}
-	var next atomic.Int64
-	var canceled atomic.Bool
-	done := make(chan struct{})
-	var pending atomic.Int64
-	pending.Store(int64(workers))
+	// Work-stealing by atomic cursor: each worker claims the next
+	// unanswered index, so skewed per-route costs (short vs partitioned
+	// unicasts) cannot idle the pool.
+	// One struct, so the state the workers share costs one allocation.
+	var pool struct {
+		next     atomic.Int64
+		canceled atomic.Bool
+		wg       sync.WaitGroup
+	}
 	for w := 0; w < workers; w++ {
+		pool.wg.Add(1)
 		go func() {
-			defer func() {
-				if pending.Add(-1) == 0 {
-					close(done)
-				}
-			}()
+			defer pool.wg.Done()
 			for {
 				if ctx.Err() != nil {
-					canceled.Store(true)
+					pool.canceled.Store(true)
 					return
 				}
-				i := int(next.Add(1)) - 1
+				i := int(pool.next.Add(1)) - 1
 				if i >= len(reqs) {
 					return
 				}
@@ -378,8 +344,8 @@ func (sn *Snapshot) batchUnicastCtx(ctx context.Context, reqs []Request, workers
 			}
 		}()
 	}
-	<-done
-	if canceled.Load() {
+	pool.wg.Wait()
+	if pool.canceled.Load() {
 		return nil, ctx.Err()
 	}
 	return out, nil

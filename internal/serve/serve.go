@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -113,6 +112,10 @@ type Options struct {
 	// Burst is the token-bucket depth in unicasts (< 1 means 1). Only
 	// meaningful when Rate > 0.
 	Burst int
+	// Deadline caps the deadline of every read served through Handle,
+	// on every transport; a call's own budget may only lower it. 0
+	// means no ceiling.
+	Deadline time.Duration
 	// Tie is the routing tie-break policy (nil means core.LowestDim).
 	Tie core.TieBreak
 	// Registry receives the per-service metrics (nil disables).
@@ -156,9 +159,10 @@ type Service struct {
 	live    *core.Assignment
 	liveGen uint64
 
-	workers int
-	tie     core.TieBreak
-	copts   core.Options
+	workers  int
+	tie      core.TieBreak
+	copts    core.Options
+	deadline time.Duration
 
 	// Hardened read-path state (harden.go): lifecycle phase, in-flight
 	// request count for drain ordering, and the admission bucket.
@@ -169,7 +173,8 @@ type Service struct {
 	bucket    *tokenBucket
 
 	// Metric handles, resolved once (nil-safe no-ops when
-	// uninstrumented).
+	// uninstrumented); reg also times the HTTP endpoints (MountHTTP).
+	reg        *obs.Registry
 	routeObs   *obs.RouteObserver
 	mGen       *obs.Gauge
 	mSwaps     *obs.Counter
@@ -184,21 +189,18 @@ type Service struct {
 	mCoalesced *obs.Counter
 	mRoutes    *obs.Counter
 	mStale     *obs.Counter
-	mBatches   *obs.Counter
-	mBatchN    *obs.Counter
-	mFanouts   *obs.Counter
-	mFanoutN   *obs.Counter
+	// batchM and fanoutM are the metric families of the pinned reads
+	// (BatchUnicast, RouteAll and their Ctx forms).
+	batchM, fanoutM pinnedMetrics
 
-	mOverload    *obs.Counter
-	mDeadline    *obs.Counter
-	mInflight    *obs.Gauge
-	mDraining    *obs.Gauge
-	mLatRoute    *obs.Histogram
-	mLatBatch    *obs.Histogram
-	mLatRouteAll *obs.Histogram
-	mLatRepair   *obs.Histogram
-	mRepairLag   *obs.Gauge
-	mQueueHWM    *obs.Gauge
+	mOverload  *obs.Counter
+	mDeadline  *obs.Counter
+	mInflight  *obs.Gauge
+	mDraining  *obs.Gauge
+	mLatRoute  *obs.Histogram
+	mLatRepair *obs.Histogram
+	mRepairLag *obs.Gauge
+	mQueueHWM  *obs.Gauge
 
 	// flight is the always-on request recorder (nil only with
 	// Options.NoFlight).
@@ -210,6 +212,18 @@ type Service struct {
 // afterwards. The initial snapshot is computed synchronously, so a
 // freshly constructed service answers queries immediately.
 func New(set *faults.Set, opts Options) (*Service, error) {
+	s, err := build(set, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.wg.Add(1)
+	go s.applier()
+	return s, nil
+}
+
+// build constructs a service and publishes its first snapshot without
+// starting the applier.
+func build(set *faults.Set, opts Options) (*Service, error) {
 	if set == nil {
 		return nil, errors.New("serve: nil fault set")
 	}
@@ -229,15 +243,16 @@ func New(set *faults.Set, opts Options) (*Service, error) {
 		tie = core.LowestDim
 	}
 	s := &Service{
-		t:       set.Topology(),
-		queue:   make(chan applyMsg, depth),
-		closed:  make(chan struct{}),
-		drained: make(chan struct{}),
-		set:     set.Clone(),
-		workers: workers,
-		tie:     tie,
-		copts:   opts.Compute,
-		bucket:  newTokenBucket(opts.Rate, opts.Burst),
+		t:        set.Topology(),
+		queue:    make(chan applyMsg, depth),
+		closed:   make(chan struct{}),
+		drained:  make(chan struct{}),
+		set:      set.Clone(),
+		workers:  workers,
+		tie:      tie,
+		copts:    opts.Compute,
+		deadline: opts.Deadline,
+		bucket:   newTokenBucket(opts.Rate, opts.Burst),
 	}
 	switch {
 	case opts.Flight != nil:
@@ -249,14 +264,13 @@ func New(set *faults.Set, opts Options) (*Service, error) {
 	s.live = core.Compute(s.set, s.copts)
 	s.liveGen = s.set.Generation()
 	s.publish(s.live, s.liveGen, false)
-	s.wg.Add(1)
-	go s.applier()
 	return s, nil
 }
 
 // bindMetrics resolves every metric handle once. A nil registry leaves
 // all handles nil, which the obs layer treats as "off".
 func (s *Service) bindMetrics(r *obs.Registry) {
+	s.reg = r
 	s.routeObs = r.RouteObserver()
 	s.mGen = r.Gauge(obs.MetricServeSnapshotGen)
 	s.mSwaps = r.Counter(obs.MetricServeSwapsTotal)
@@ -271,17 +285,15 @@ func (s *Service) bindMetrics(r *obs.Registry) {
 	s.mCoalesced = r.Counter(obs.MetricServeApplyCoalesced)
 	s.mRoutes = r.Counter(obs.MetricServeRoutesTotal)
 	s.mStale = r.Counter(obs.MetricServeStaleReads)
-	s.mBatches = r.Counter(obs.MetricServeBatchesTotal)
-	s.mBatchN = r.Counter(obs.MetricServeBatchItems)
-	s.mFanouts = r.Counter(obs.MetricServeFanoutsTotal)
-	s.mFanoutN = r.Counter(obs.MetricServeFanoutItems)
+	s.batchM = pinnedMetrics{obs.ReqBatch, r.Counter(obs.MetricServeBatchesTotal),
+		r.Counter(obs.MetricServeBatchItems), s.mStale, r.LatencyHistogram(obs.MetricLatencyBatch)}
+	s.fanoutM = pinnedMetrics{obs.ReqRouteAll, r.Counter(obs.MetricServeFanoutsTotal),
+		r.Counter(obs.MetricServeFanoutItems), nil, r.LatencyHistogram(obs.MetricLatencyRouteAll)}
 	s.mOverload = r.Counter(obs.MetricServeOverloadTotal)
 	s.mDeadline = r.Counter(obs.MetricServeDeadlineTotal)
 	s.mInflight = r.Gauge(obs.MetricServeInflight)
 	s.mDraining = r.Gauge(obs.MetricServeDraining)
 	s.mLatRoute = r.LatencyHistogram(obs.MetricLatencyRoute)
-	s.mLatBatch = r.LatencyHistogram(obs.MetricLatencyBatch)
-	s.mLatRouteAll = r.LatencyHistogram(obs.MetricLatencyRouteAll)
 	s.mLatRepair = r.LatencyHistogram(obs.MetricLatencyRepair)
 	s.mRepairLag = r.Gauge(obs.MetricServeRepairLag)
 	s.mQueueHWM = r.Gauge(obs.MetricServeQueueHWM)
@@ -337,25 +349,25 @@ func (s *Service) Feasibility(src, dst topo.NodeID) (core.Condition, core.Outcom
 }
 
 // validate rejects events that no fault set over this topology could
-// ever accept, so the asynchronous applier only ever sees feasible
-// mutations (redundant ones — failing an already-faulty node — are
-// no-ops by Set semantics).
+// ever accept (ErrInvalid), so the asynchronous applier only ever sees
+// feasible mutations (redundant ones — failing an already-faulty node
+// — are no-ops by Set semantics).
 func (s *Service) validate(events []faults.ChurnEvent) error {
 	for _, ev := range events {
 		switch ev.Kind {
 		case faults.DeltaFailNode, faults.DeltaRecoverNode:
 			if !s.t.Contains(ev.A) {
-				return fmt.Errorf("serve: node %d outside topology", ev.A)
+				return invalidf("serve: node %d outside topology", ev.A)
 			}
 		case faults.DeltaFailLink, faults.DeltaRecoverLink:
 			if !s.t.Contains(ev.A) || !s.t.Contains(ev.B) {
-				return fmt.Errorf("serve: link endpoint outside topology")
+				return invalidf("serve: link endpoint outside topology")
 			}
 			if !s.t.Adjacent(ev.A, ev.B) {
-				return fmt.Errorf("serve: %d and %d are not adjacent", ev.A, ev.B)
+				return invalidf("serve: %d and %d are not adjacent", ev.A, ev.B)
 			}
 		default:
-			return fmt.Errorf("serve: unknown churn event kind %d", ev.Kind)
+			return invalidf("serve: unknown churn event kind %d", ev.Kind)
 		}
 	}
 	return nil
@@ -364,7 +376,14 @@ func (s *Service) validate(events []faults.ChurnEvent) error {
 // Apply submits churn events, blocking while the queue is full (the
 // writer-side backpressure of a churn storm; readers never block). The
 // events are applied asynchronously; use Flush to wait for the swap.
-func (s *Service) Apply(events ...faults.ChurnEvent) error {
+func (s *Service) Apply(events ...faults.ChurnEvent) error { return s.enqueue(events, true) }
+
+// TryApply is Apply that refuses with ErrBacklog instead of blocking
+// when the queue is full.
+func (s *Service) TryApply(events ...faults.ChurnEvent) error { return s.enqueue(events, false) }
+
+// enqueue validates events and queues them as one apply message.
+func (s *Service) enqueue(events []faults.ChurnEvent, block bool) error {
 	if len(events) == 0 {
 		return nil
 	}
@@ -379,43 +398,25 @@ func (s *Service) Apply(events ...faults.ChurnEvent) error {
 		return ErrClosed
 	default:
 	}
-	select {
-	case <-s.closed:
-		return ErrClosed
-	case s.queue <- msg:
-		depth := int64(len(s.queue))
-		s.mDepth.Set(depth)
-		s.mQueueHWM.Max(depth)
-		return nil
+	if block {
+		select {
+		case <-s.closed:
+			return ErrClosed
+		case s.queue <- msg:
+		}
+	} else {
+		select {
+		case s.queue <- msg:
+		default:
+			s.mRejected.Inc()
+			s.flightRefuse(obs.ReqApply, time.Time{}, nil, len(events), ErrBacklog)
+			return ErrBacklog
+		}
 	}
-}
-
-// TryApply is Apply that refuses with ErrBacklog instead of blocking
-// when the queue is full.
-func (s *Service) TryApply(events ...faults.ChurnEvent) error {
-	if len(events) == 0 {
-		return nil
-	}
-	if err := s.validate(events); err != nil {
-		return err
-	}
-	msg := applyMsg{events: append([]faults.ChurnEvent(nil), events...)}
-	select {
-	case <-s.closed:
-		return ErrClosed
-	default:
-	}
-	select {
-	case s.queue <- msg:
-		depth := int64(len(s.queue))
-		s.mDepth.Set(depth)
-		s.mQueueHWM.Max(depth)
-		return nil
-	default:
-		s.mRejected.Inc()
-		s.flightRefuse(obs.ReqApply, time.Time{}, nil, len(events), ErrBacklog)
-		return ErrBacklog
-	}
+	depth := int64(len(s.queue))
+	s.mDepth.Set(depth)
+	s.mQueueHWM.Max(depth)
+	return nil
 }
 
 // FailNode enqueues a node failure.

@@ -23,23 +23,21 @@ import (
 //	reader ──frames──▶ bounded jobs chan ──▶ N workers ──▶ results chan ──▶ writer
 //
 // One goroutine reads frames off the socket and tags each with an
-// arrival sequence number; the workers decode, route against the
-// lock-free snapshot (the same RouteCtx/BatchUnicastCtx hardening the
-// HTTP handlers use — deadline budgets re-armed from the frame, GCRA
-// admission, drain awareness), and encode the response into a pooled
-// buffer; a single writer reorders completed responses by sequence
-// number so the client observes strict request order per connection,
-// no matter how the workers interleave. The jobs channel is bounded:
-// a client that pipelines faster than the workers drain blocks in the
-// kernel, not in server memory.
+// arrival sequence number; the workers decode each frame into a Call,
+// serve it through Handle (the surface HTTP uses too: one set of
+// checks, the deadline budget re-armed from the frame and capped by
+// Options.Deadline, GCRA admission, drain awareness), and encode the
+// Reply into a pooled buffer; a single writer reorders completed
+// responses by sequence number so the client observes strict request
+// order per connection, no matter how the workers interleave. The jobs
+// channel is bounded: a client that pipelines faster than the workers
+// drain blocks in the kernel, not in server memory.
 //
-// Refusals map to typed error frames one-to-one with the HTTP status
-// taxonomy: ErrOverload→CodeOverload(429), ErrBacklog→CodeBacklog,
-// ErrDraining/ErrClosed→CodeDraining(503), deadline→CodeDeadline(504),
-// cancellation→CodeCanceled(499). Version mismatches answer with
-// CodeVersion and keep the connection alive — framing is intact, only
-// the semantics are refused — which is the clean-degrade contract the
-// cross-version compat tests pin.
+// Refusals become typed error frames through the refusal table
+// (refusalOf), the same rows that give HTTP its status codes. Version
+// mismatches answer with CodeVersion and keep the connection alive —
+// framing is intact, only the semantics are refused — which is the
+// clean-degrade contract the cross-version compat tests pin.
 
 // WireOptions tune a WireServer. The zero value serves with
 // min(GOMAXPROCS, 4) workers and 128 queued frames per connection.
@@ -53,9 +51,6 @@ type WireOptions struct {
 	// MaxPayload bounds accepted request payloads (<= 0 means
 	// wire.DefaultMaxPayload).
 	MaxPayload int
-	// MaxBatch bounds the pair count of one OpBatch frame (<= 0 means
-	// 4096); larger batches are refused with CodeTooLarge.
-	MaxBatch int
 	// RequireMinor refuses clients whose header minor version is below
 	// it, and is what the server "advertises" in ping responses when it
 	// exceeds the package's own minor. It models a future server that
@@ -100,9 +95,6 @@ func NewWireServer(svc *Service, ln net.Listener, opts WireOptions) *WireServer 
 	}
 	if opts.MaxPayload <= 0 {
 		opts.MaxPayload = wire.DefaultMaxPayload
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 4096
 	}
 	ws := &WireServer{
 		svc:   svc,
@@ -308,13 +300,20 @@ func (ws *WireServer) advertisedMinor() uint8 {
 	return wire.Minor
 }
 
+// wireScratch is one worker's reusable decode/encode state, so a frame
+// costs no allocation of its own.
+type wireScratch struct {
+	pairs  []wire.Pair
+	routes []wire.RouteInfo
+	call   Call
+	reply  Reply
+}
+
 // worker executes jobs and emits encoded response frames.
 func (ws *WireServer) worker(jobs <-chan wireJob, results chan<- wireResult) {
-	var pairs []wire.Pair
-	var routes []wire.RouteInfo
-	reqs := make([]Request, 0, 64)
+	sc := &wireScratch{call: Call{Pairs: make([]Request, 0, 64)}}
 	for job := range jobs {
-		frame := ws.execute(&job, &pairs, &routes, &reqs)
+		frame := ws.execute(&job, sc)
 		if job.payload != nil {
 			wire.PutBuf(job.payload)
 		}
@@ -322,174 +321,105 @@ func (ws *WireServer) worker(jobs <-chan wireJob, results chan<- wireResult) {
 	}
 }
 
-// errFrame encodes a typed error response.
-func errFrame(reqID uint64, code wire.ErrCode, detail string) []byte {
-	payload := wire.AppendError(wire.GetBuf(), code, detail)
-	frame := wire.AppendFrame(wire.GetBuf(), wire.OpError, wire.FlagResponse, reqID, payload)
+// errUnknownOp is decode's answer to an opcode the server does not
+// serve.
+var errUnknownOp = errors.New("serve: unknown wire op")
+
+// decode turns a request frame's payload into sc.call, reusing the
+// scratch pair buffers.
+func (sc *wireScratch) decode(op wire.Op, payload []byte) error {
+	c := &sc.call
+	*c = Call{Pairs: c.Pairs[:0]}
+	switch op {
+	case wire.OpUnicast:
+		req, err := wire.ParseUnicastReq(payload)
+		if err != nil {
+			return err
+		}
+		c.Op, c.Src, c.Dst = OpRoute, topo.NodeID(req.Src), topo.NodeID(req.Dst)
+		c.Budget = time.Duration(req.DeadlineUS) * time.Microsecond
+	case wire.OpBatch:
+		deadline, ps, err := wire.ParseBatchReq(payload, sc.pairs[:0])
+		sc.pairs = ps
+		if err != nil {
+			return err
+		}
+		c.Op = OpBatch
+		for _, q := range ps {
+			c.Pairs = append(c.Pairs, Request{Src: topo.NodeID(q.Src), Dst: topo.NodeID(q.Dst)})
+		}
+		c.Budget = time.Duration(deadline) * time.Microsecond
+	case wire.OpFeasibility:
+		req, err := wire.ParseFeasReq(payload)
+		if err != nil {
+			return err
+		}
+		c.Op, c.Src, c.Dst = OpFeasibility, topo.NodeID(req.Src), topo.NodeID(req.Dst)
+	case wire.OpFaultDelta:
+		req, err := wire.ParseFaultReq(payload)
+		if err != nil {
+			return err
+		}
+		c.Op = OpFault
+		c.Event = faults.ChurnEvent{Kind: faults.DeltaKind(req.Kind), A: topo.NodeID(req.A), B: topo.NodeID(req.B)}
+	default:
+		return errUnknownOp
+	}
+	return nil
+}
+
+// execute runs one job and returns its encoded response frame: decode,
+// Handle, encode, or a typed error frame.
+func (ws *WireServer) execute(job *wireJob, sc *wireScratch) []byte {
+	op, code, detail := job.hdr.Op, job.refuse, job.detail
+	var payload []byte
+	switch {
+	case code != 0:
+	case op == wire.OpPing:
+		payload = wire.AppendPingResp(wire.GetBuf(), wire.PingResp{Major: wire.Major, Minor: ws.advertisedMinor()})
+	default:
+		err := sc.decode(op, job.payload)
+		if err == nil {
+			err = ws.svc.Handle(context.Background(), &sc.call, &sc.reply)
+		} else if err != errUnknownOp {
+			err = malformed(err)
+		}
+		switch {
+		case err == nil:
+			payload = sc.encode(op)
+		case err == errUnknownOp:
+			code, detail = wire.CodeUnknownOp, op.String()
+		default:
+			code, detail = refusalOf(err).code, err.Error()
+		}
+	}
+	if code != 0 {
+		ws.mErrors.Inc()
+		op, payload = wire.OpError, wire.AppendError(wire.GetBuf(), code, detail)
+	}
+	frame := wire.AppendFrame(wire.GetBuf(), op, wire.FlagResponse, job.hdr.ReqID, payload)
 	wire.PutBuf(payload)
 	return frame
 }
 
-// wireErrCode maps a serving-path error to the typed frame code the
-// HTTP layer would have mapped to a status.
-func wireErrCode(err error) wire.ErrCode {
-	switch {
-	case errors.Is(err, ErrOverload):
-		return wire.CodeOverload
-	case errors.Is(err, ErrBacklog):
-		return wire.CodeBacklog
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed):
-		return wire.CodeDraining
-	case errors.Is(err, context.DeadlineExceeded):
-		return wire.CodeDeadline
-	case errors.Is(err, context.Canceled):
-		return wire.CodeCanceled
-	default:
-		return wire.CodeInternal
-	}
-}
-
-// budgetCtx re-arms a request's deadline budget as a context.
-func budgetCtx(deadlineUS uint32) (context.Context, context.CancelFunc) {
-	if deadlineUS == 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), time.Duration(deadlineUS)*time.Microsecond)
-}
-
-// execute runs one job and returns its encoded response frame. The
-// scratch slices amortize batch decode/encode across a connection's
-// lifetime.
-func (ws *WireServer) execute(job *wireJob, pairs *[]wire.Pair, routes *[]wire.RouteInfo, reqs *[]Request) []byte {
-	id := job.hdr.ReqID
-	if job.refuse != 0 {
-		ws.mErrors.Inc()
-		return errFrame(id, job.refuse, job.detail)
-	}
-	switch job.hdr.Op {
-	case wire.OpPing:
-		payload := wire.AppendPingResp(wire.GetBuf(), wire.PingResp{Major: wire.Major, Minor: ws.advertisedMinor()})
-		frame := wire.AppendFrame(wire.GetBuf(), wire.OpPing, wire.FlagResponse, id, payload)
-		wire.PutBuf(payload)
-		return frame
-
+// encode appends sc.reply's response payload to a pooled buffer.
+func (sc *wireScratch) encode(op wire.Op) []byte {
+	r := &sc.reply
+	b := wire.GetBuf()
+	switch op {
 	case wire.OpUnicast:
-		req, err := wire.ParseUnicastReq(job.payload)
-		if err != nil {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeBadRequest, err.Error())
-		}
-		if !ws.svc.t.Contains(topo.NodeID(req.Src)) || !ws.svc.t.Contains(topo.NodeID(req.Dst)) {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeBadRequest, "node outside topology")
-		}
-		ctx, cancel := budgetCtx(req.DeadlineUS)
-		r, err := ws.svc.RouteCtx(ctx, topo.NodeID(req.Src), topo.NodeID(req.Dst))
-		cancel()
-		if err != nil {
-			ws.mErrors.Inc()
-			return errFrame(id, wireErrCode(err), "")
-		}
-		payload := wire.AppendUnicastResp(wire.GetBuf(), wire.UnicastResp{
-			Gen:      r.Gen,
-			FlightID: r.FlightID,
-			Route:    routeInfoOf(r),
-		})
-		frame := wire.AppendFrame(wire.GetBuf(), wire.OpUnicast, wire.FlagResponse, id, payload)
-		wire.PutBuf(payload)
-		return frame
-
+		return wire.AppendUnicastResp(b, wire.UnicastResp{Gen: r.Gen, FlightID: r.FlightID, Route: routeInfoOf(r.Route)})
 	case wire.OpBatch:
-		deadline, ps, err := wire.ParseBatchReq(job.payload, (*pairs)[:0])
-		*pairs = ps
-		if err != nil {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeBadRequest, err.Error())
+		out := sc.routes[:0]
+		for _, rt := range r.Routes {
+			out = append(out, routeInfoOf(rt))
 		}
-		if len(ps) > ws.opts.MaxBatch {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeTooLarge, fmt.Sprintf("batch of %d pairs exceeds limit %d", len(ps), ws.opts.MaxBatch))
-		}
-		rq := (*reqs)[:0]
-		for _, q := range ps {
-			if !ws.svc.t.Contains(topo.NodeID(q.Src)) || !ws.svc.t.Contains(topo.NodeID(q.Dst)) {
-				ws.mErrors.Inc()
-				*reqs = rq
-				return errFrame(id, wire.CodeBadRequest, "node outside topology")
-			}
-			rq = append(rq, Request{Src: topo.NodeID(q.Src), Dst: topo.NodeID(q.Dst)})
-		}
-		*reqs = rq
-		ctx, cancel := budgetCtx(deadline)
-		rs, err := ws.svc.BatchUnicastCtx(ctx, rq)
-		cancel()
-		if err != nil {
-			ws.mErrors.Inc()
-			return errFrame(id, wireErrCode(err), "")
-		}
-		out := (*routes)[:0]
-		for _, r := range rs {
-			out = append(out, routeInfoOf(r))
-		}
-		*routes = out
-		// Every route of a batch shares one snapshot; an empty batch
-		// routed on none and reports the current generation.
-		gen := ws.svc.Generation()
-		if len(rs) > 0 {
-			gen = rs[0].Gen
-		}
-		payload := wire.AppendBatchResp(wire.GetBuf(), gen, out)
-		frame := wire.AppendFrame(wire.GetBuf(), wire.OpBatch, wire.FlagResponse, id, payload)
-		wire.PutBuf(payload)
-		return frame
-
+		sc.routes = out
+		return wire.AppendBatchResp(b, r.Gen, out)
 	case wire.OpFeasibility:
-		req, err := wire.ParseFeasReq(job.payload)
-		if err != nil {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeBadRequest, err.Error())
-		}
-		if !ws.svc.t.Contains(topo.NodeID(req.Src)) || !ws.svc.t.Contains(topo.NodeID(req.Dst)) {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeBadRequest, "node outside topology")
-		}
-		cond, out := ws.svc.Feasibility(topo.NodeID(req.Src), topo.NodeID(req.Dst))
-		payload := wire.AppendFeasResp(wire.GetBuf(), wire.FeasResp{Cond: uint8(cond), Outcome: uint8(out)})
-		frame := wire.AppendFrame(wire.GetBuf(), wire.OpFeasibility, wire.FlagResponse, id, payload)
-		wire.PutBuf(payload)
-		return frame
-
-	case wire.OpFaultDelta:
-		req, err := wire.ParseFaultReq(job.payload)
-		if err != nil {
-			ws.mErrors.Inc()
-			return errFrame(id, wire.CodeBadRequest, err.Error())
-		}
-		ev := faults.ChurnEvent{Kind: faults.DeltaKind(req.Kind), A: topo.NodeID(req.A), B: topo.NodeID(req.B)}
-		// TryApply, as HTTP /fault does: churn never blocks the data
-		// plane; a full queue is typed backpressure (CodeBacklog, the
-		// twin of /fault's 429 + Retry-After).
-		if err := ws.svc.TryApply(ev); err != nil {
-			ws.mErrors.Inc()
-			code := wireErrCode(err)
-			if code == wire.CodeInternal {
-				// Validation failures (bad kind, node out of range,
-				// non-adjacent link) are the client's fault.
-				code = wire.CodeBadRequest
-			}
-			return errFrame(id, code, err.Error())
-		}
-		payload := wire.AppendFaultResp(wire.GetBuf(), wire.FaultResp{
-			Gen:        ws.svc.Generation(),
-			QueueDepth: uint32(ws.svc.QueueDepth()),
-		})
-		frame := wire.AppendFrame(wire.GetBuf(), wire.OpFaultDelta, wire.FlagResponse, id, payload)
-		wire.PutBuf(payload)
-		return frame
-
-	default:
-		ws.mErrors.Inc()
-		return errFrame(id, wire.CodeUnknownOp, job.hdr.Op.String())
+		return wire.AppendFeasResp(b, wire.FeasResp{Cond: uint8(r.Cond), Outcome: uint8(r.Outcome)})
+	default: // wire.OpFaultDelta
+		return wire.AppendFaultResp(b, wire.FaultResp{Gen: r.Gen, QueueDepth: uint32(r.QueueDepth)})
 	}
 }
 

@@ -141,7 +141,7 @@ func TestWireServerFlightIDThreaded(t *testing.T) {
 
 func TestWireServerTypedRefusals(t *testing.T) {
 	// Rate 1e-9 admits essentially nothing after the first token.
-	_, ws := newWireServer(t, Options{Rate: 1e-9, Burst: 1}, WireOptions{MaxBatch: 4})
+	_, ws := newWireServer(t, Options{Rate: 1e-9, Burst: 1}, WireOptions{})
 	c := dialWire(t, ws, wire.ClientOptions{})
 	ctx := context.Background()
 
@@ -163,7 +163,7 @@ func TestWireServerTypedRefusals(t *testing.T) {
 	}
 
 	// Oversize batch: typed too-large, connection survives.
-	big := make([]wire.Pair, 5)
+	big := make([]wire.Pair, MaxBatch+1)
 	if _, _, err := c.Batch(ctx, big, nil); !errors.Is(err, wire.ErrTooLarge) {
 		t.Fatalf("oversize batch: got %v, want ErrTooLarge", err)
 	}

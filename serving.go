@@ -2,6 +2,8 @@ package safecube
 
 import (
 	"context"
+	"net/http"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/serve"
@@ -23,15 +25,19 @@ type ServeOptions struct {
 	QueueDepth int
 	// Workers sizes the batch worker pool (<= 0 means GOMAXPROCS).
 	Workers int
-	// Rate enables token-bucket admission control on the context-aware
-	// readers: at most Rate unicasts per second are admitted
-	// (UnicastCtx costs 1, BatchUnicastCtx one per pair, RouteAllCtx
-	// one per destination); the excess is shed promptly with
+	// Rate enables token-bucket admission control on UnicastCtx and on
+	// the requests served over HTTP and wire: at most Rate unicasts per
+	// second are admitted (a route costs 1, a batch one per pair, a
+	// fan-out one per destination); the excess is shed promptly with
 	// ErrServerOverload. <= 0 disables shedding. The context-free
 	// readers are never shed.
 	Rate float64
 	// Burst is the admission bucket depth in unicasts (< 1 means 1).
 	Burst int
+	// Deadline caps the deadline of every request served over HTTP
+	// (MountHTTP) or the wire protocol (ServeWire); a request's own
+	// budget may only lower it. 0 means no ceiling.
+	Deadline time.Duration
 	// Registry receives the serving metrics (nil disables).
 	Registry *Registry
 	// Flight supplies a pre-sized flight recorder (see NewFlightRecorder).
@@ -63,6 +69,7 @@ func (c *Cube) Serve(opts ServeOptions) (*Server, error) {
 		Workers:    opts.Workers,
 		Rate:       opts.Rate,
 		Burst:      opts.Burst,
+		Deadline:   opts.Deadline,
 		Registry:   opts.Registry,
 		Flight:     opts.Flight,
 		NoFlight:   opts.NoFlight,
@@ -143,25 +150,6 @@ func (s *Server) BatchUnicast(pairs []TrafficPair) []*Route {
 	return out
 }
 
-// BatchUnicastCtx is BatchUnicast with deadline, admission and drain
-// handling (see UnicastCtx). Admission costs one token per pair; a
-// canceled batch returns ctx.Err() rather than a truncated result set.
-func (s *Server) BatchUnicastCtx(ctx context.Context, pairs []TrafficPair) ([]*Route, error) {
-	reqs := make([]serve.Request, len(pairs))
-	for i, p := range pairs {
-		reqs[i] = serve.Request{Src: p.Src, Dst: p.Dst}
-	}
-	rs, err := s.svc.BatchUnicastCtx(ctx, reqs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Route, len(rs))
-	for i, r := range rs {
-		out[i] = routeOf(r)
-	}
-	return out, nil
-}
-
 // RouteAll routes from src to every other node against one snapshot.
 // The result is indexed by destination NodeID; the slot for src is nil.
 func (s *Server) RouteAll(src NodeID) []*Route {
@@ -173,22 +161,6 @@ func (s *Server) RouteAll(src NodeID) []*Route {
 		}
 	}
 	return out
-}
-
-// RouteAllCtx is RouteAll with deadline, admission and drain handling
-// (see UnicastCtx). Admission costs one token per destination.
-func (s *Server) RouteAllCtx(ctx context.Context, src NodeID) ([]*Route, error) {
-	rs, err := s.svc.RouteAllCtx(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Route, len(rs))
-	for i, r := range rs {
-		if r != nil {
-			out[i] = routeOf(r)
-		}
-	}
-	return out, nil
 }
 
 // Inflight returns the number of context-aware requests currently in
@@ -214,12 +186,10 @@ func (s *Server) FailLink(a, b NodeID) error { return s.svc.FailLink(a, b) }
 // RecoverLink enqueues a link recovery.
 func (s *Server) RecoverLink(a, b NodeID) error { return s.svc.RecoverLink(a, b) }
 
-// TryApply enqueues one churn event without blocking: when the apply
-// queue is full it refuses with ErrServerBacklog instead of waiting —
-// the form for fault reporters that must not stall behind a churn
-// storm (slserve's /fault). The blocking FailNode family is for
-// callers whose declarations must land.
-func (s *Server) TryApply(ev faults.ChurnEvent) error { return s.svc.TryApply(ev) }
+// MountHTTP registers the HTTP/JSON data plane on mux: /route, /batch,
+// /routeall and /fault (see docs/OPERATIONS.md), timed into
+// ServeOptions.Registry.
+func (s *Server) MountHTTP(mux *http.ServeMux) { s.svc.MountHTTP(mux) }
 
 // Flush blocks until every churn event enqueued before the call has
 // been applied and published.

@@ -21,9 +21,6 @@ type WireOptions struct {
 	// (<= 0 means 128); a full queue pushes back on the client's TCP
 	// stream instead of buffering server memory.
 	QueueDepth int
-	// MaxBatch bounds the pair count of one batch frame (<= 0 means
-	// 4096).
-	MaxBatch int
 	// Registry receives the wire_* metrics (nil disables).
 	Registry *Registry
 }
@@ -40,7 +37,6 @@ func (s *Server) ServeWire(addr string, opts WireOptions) (*WireServer, error) {
 	ws, err := serve.ListenWire(s.svc, addr, serve.WireOptions{
 		Workers:    opts.Workers,
 		QueueDepth: opts.QueueDepth,
-		MaxBatch:   opts.MaxBatch,
 		Registry:   opts.Registry,
 	})
 	if err != nil {

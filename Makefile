@@ -60,15 +60,14 @@ bench-hot:
 	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchtime 200ms -benchmem \
 		-count $(BENCH_COUNT) -timeout 30m ./... | tee $(BENCH_OUT)
 
-# Regenerate BENCH_1.json (the instrumentation-overhead evidence),
-# BENCH_2.json (the parallel-GS sweep vs the sequential baseline),
-# BENCH_3.json (incremental repair vs cold GS under churn),
-# BENCH_4.json (snapshot serving vs the mutex-guarded facade under a
-# churn storm), BENCH_5.json (serving-path tail latency under a churn
-# storm, with vs without admission control — EXPERIMENTS.md E17),
-# BENCH_6.json (flight-recorder overhead on the hardened read path),
-# BENCH_7.json (flat SoA data plane vs the BENCH_3 map-based baseline)
-# and BENCH_8.json (binary wire data plane vs the HTTP/JSON path).
+# Regenerate BENCH_1.json .. BENCH_8.json from the bench ledger's
+# scenario table (bench_ledger_test.go): instrumentation overhead,
+# parallel GS, repair vs cold GS under churn, snapshot serving vs the
+# mutex-guarded facade, admission control under a churn storm
+# (EXPERIMENTS.md E17), flight-recorder overhead, the flat SoA data
+# plane vs BENCH_3, and the wire data plane vs HTTP/JSON. Rows come
+# from the Benchmark* functions at GOMAXPROCS 1 and NumCPU; a failed
+# scenario check fails the run.
 bench-json:
 	EMIT_BENCH_JSON=1 $(GO) test -run TestEmitBenchJSON .
 

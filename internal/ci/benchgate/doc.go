@@ -13,6 +13,9 @@
 // -count=N); the comparison uses the median ns/op per name, which is
 // robust to one noisy sample on shared CI runners. Benchmarks present
 // in only one file are reported but never fail the gate (new or deleted
-// benchmarks are not regressions). Exit status: 0 ok, 1 regression, 2
+// benchmarks are not regressions). A benchmark also fails when its
+// median allocs/op regresses beyond the threshold by at least one whole
+// allocation: time catches slow code, allocation count the quieter
+// regressions that show up later as GC pressure. Exit status: 0 ok, 1 regression, 2
 // usage or parse error.
 package main

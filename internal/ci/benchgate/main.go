@@ -1,22 +1,18 @@
-// Command benchgate compares two `go test -bench` outputs (merge base
-// vs PR head) and fails when a gated hot-path benchmark regresses
-// beyond the threshold on either median ns/op or median allocs/op.
-// Time catches slow code, allocation count catches the quieter
-// regressions that eventually show up as GC pressure — the flat SoA
-// core's repair path is gated on both.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
 	"sort"
-	"strconv"
-	"strings"
+
+	"repro/internal/ci/benchparse"
 )
+
+// defaultMatch is the gated set: the Makefile's BENCH_HOT, anchored.
+const defaultMatch = `^Benchmark(Unicast|GS|Repair|Serve|Flight|Wire)`
 
 func main() {
 	code, err := run(os.Args[1:], os.Stdout)
@@ -34,7 +30,7 @@ func run(args []string, out io.Writer) (int, error) {
 	fs.SetOutput(io.Discard)
 	oldPath := fs.String("old", "", "bench output of the merge base")
 	newPath := fs.String("new", "", "bench output of the PR head")
-	match := fs.String("match", `^Benchmark(Unicast|GS|Repair|Serve|Flight|Wire)`, "gate only benchmarks matching this regex")
+	match := fs.String("match", defaultMatch, "gate only benchmarks matching this regex")
 	threshold := fs.Float64("threshold", 0.15, "fail when new median ns/op or allocs/op exceeds old by this fraction")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -77,9 +73,7 @@ type samples struct {
 }
 
 // parseFile extracts per-benchmark ns/op and allocs/op samples from
-// `go test -bench` output. Sub-benchmark names keep their slash path;
-// the trailing -GOMAXPROCS suffix is stripped so runs from differently
-// sized machines still line up.
+// `go test -bench` output.
 func parseFile(path string) (map[string]*samples, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -93,70 +87,36 @@ func parseFile(path string) (map[string]*samples, error) {
 	return runs, nil
 }
 
+// parse groups samples by name with the GOMAXPROCS suffix stripped, so
+// runs from differently sized machines still line up.
 func parse(r io.Reader) (map[string]*samples, error) {
+	out, err := benchparse.Parse(r)
+	if err != nil {
+		return nil, err
+	}
 	runs := map[string]*samples{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+	for _, res := range out.Results {
+		ns, hasNS := res.Values["ns/op"]
+		allocs, hasAllocs := res.Values["allocs/op"]
+		if !hasNS && !hasAllocs {
 			continue
 		}
-		name := trimProcSuffix(fields[0])
-		// Metric values precede their unit labels.
-		for i := 2; i < len(fields); i++ {
-			var dst *[]float64
-			switch fields[i] {
-			case "ns/op":
-				s := runs[name]
-				if s == nil {
-					s = &samples{}
-					runs[name] = s
-				}
-				dst = &s.ns
-			case "allocs/op":
-				s := runs[name]
-				if s == nil {
-					s = &samples{}
-					runs[name] = s
-				}
-				dst = &s.allocs
-			default:
-				continue
-			}
-			v, err := strconv.ParseFloat(fields[i-1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad %s value in %q", fields[i], sc.Text())
-			}
-			*dst = append(*dst, v)
+		s := runs[res.Name]
+		if s == nil {
+			s = &samples{}
+			runs[res.Name] = s
+		}
+		if hasNS {
+			s.ns = append(s.ns, ns)
+		}
+		if hasAllocs {
+			s.allocs = append(s.allocs, allocs)
 		}
 	}
-	return runs, sc.Err()
+	return runs, nil
 }
 
-// trimProcSuffix drops the -N GOMAXPROCS suffix go test appends to
-// benchmark names (BenchmarkFoo-8 -> BenchmarkFoo), including on
-// sub-benchmarks (BenchmarkFoo/bar=1-8 -> BenchmarkFoo/bar=1).
-func trimProcSuffix(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i <= 0 {
-		return name
-	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
-}
-
-func median(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
+var median = benchparse.Median
 
 // allocsRegressed applies the allocs/op rule: beyond the relative
 // threshold AND at least one whole allocation worse. The absolute floor

@@ -185,3 +185,20 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatalf("missing file: code %d err %v", code, err)
 	}
 }
+
+// TestDefaultMatchFollowsMakefile keeps the gate and `make bench-hot`
+// on one benchmark set: a family the Makefile runs but the default
+// -match skips (or the reverse) would go unwatched.
+func TestDefaultMatchFollowsMakefile(t *testing.T) {
+	mk, err := os.ReadFile(filepath.Join("..", "..", "..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^BENCH_HOT = (.+)$`).FindSubmatch(mk)
+	if m == nil {
+		t.Fatal("Makefile defines no BENCH_HOT")
+	}
+	if hot := "^" + strings.TrimSpace(string(m[1])); hot != defaultMatch {
+		t.Fatalf("Makefile BENCH_HOT %q differs from benchgate's default -match %q", hot, defaultMatch)
+	}
+}

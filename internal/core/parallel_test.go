@@ -125,3 +125,23 @@ func BenchmarkComputeParallel(b *testing.B) {
 		Compute(s, Options{Workers: -1})
 	}
 }
+
+// BenchmarkComputeGH runs the same pair on a generalized hypercube,
+// GH(4x4x4x4x4) (1,024 nodes, 10 faults, seed 12): BENCH_2.json's
+// mixed-radix cells.
+func BenchmarkComputeGH(b *testing.B) {
+	s := faults.NewSet(topo.MustMixed(4, 4, 4, 4, 4))
+	if err := faults.InjectUniform(s, stats.NewRNG(12), 10); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"sequential", 0}, {"workers=gomaxprocs", -1}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Compute(s, Options{Workers: c.workers})
+			}
+		})
+	}
+}

@@ -16,10 +16,11 @@ import (
 
 // Throughput benchmarks of the lock-free read path: 1/4/16 concurrent
 // readers, with and without a background churn storm feeding the apply
-// queue. The BENCH_4.json emitter (bench_json4_test.go at the repo
-// root) additionally measures the same workloads against the
-// mutex-guarded facade baseline; here we only track the engine itself
-// so bench-gate can watch it without the baseline's noise.
+// queue. BENCH_4.json's scenario in the repo-root bench ledger
+// (bench_ledger_test.go) additionally measures the same workloads
+// against the mutex-guarded facade baseline; here we only track the
+// engine itself so bench-gate can watch it without the baseline's
+// noise.
 
 // benchService builds a Q10 service with a representative fault load.
 func benchService(b *testing.B, opts Options) *Service {
@@ -98,8 +99,8 @@ func BenchmarkServeRoute(b *testing.B) {
 // to bench-gate. The bare cell is the default path (flight recorder
 // on); noflight is the same path with the recorder disabled, so the
 // bare−noflight delta is the recorder's hot-path cost (the ≤5% budget
-// BENCH_6.json documents); the full cell adds a deadline context and
-// an (unsaturated) bucket.
+// BENCH_6.json's ledger scenario checks); the full cell adds a
+// deadline context and an (unsaturated) bucket.
 func BenchmarkServeRouteCtx(b *testing.B) {
 	run := func(b *testing.B, opts Options, withDeadline bool) {
 		s := benchService(b, opts)

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/topo"
 )
 
@@ -41,4 +45,33 @@ func FuzzHTTPQuery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRouteReplyMatchesMapEncoding pins the /route body to the bytes
+// of the map-encoded reply it replaced (sorted keys, request_id present
+// even when the flight recorder is off and the ID is 0).
+func TestRouteReplyMatchesMapEncoding(t *testing.T) {
+	for _, opts := range []Options{{}, {NoFlight: true}} {
+		set := faults.NewSet(topo.MustCube(6))
+		if err := set.FailNodes(3, 12, 33); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := build(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		c, rep := Call{Op: OpRoute, Src: 0, Dst: 63}, Reply{}
+		if err := svc.Handle(context.Background(), &c, &rep); err != nil || (rep.FlightID == 0) != opts.NoFlight {
+			t.Fatalf("NoFlight=%v: request ID %d, err %v", opts.NoFlight, rep.FlightID, err)
+		}
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		svc.writeReply(got, OpRoute, &rep)
+		obs.ServeJSON(want, http.StatusOK, map[string]any{
+			"generation": rep.Gen, "request_id": rep.FlightID, "route": svc.routeJSON(rep.Route),
+		})
+		if got.Body.String() != want.Body.String() {
+			t.Fatalf("NoFlight=%v: struct body\n%s\nmap body\n%s", opts.NoFlight, got.Body, want.Body)
+		}
+	}
 }

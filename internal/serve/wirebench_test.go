@@ -2,11 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -16,9 +14,10 @@ import (
 
 // The wire-vs-HTTP serving benchmarks. Both sides drive the SAME Q10
 // engine over real sockets from parallel clients, one route per op, so
-// ns/op is directly an inverse req/s-per-core: the BENCH_8.json
-// emitter at the repo root records the ratio and gates the >= 5x
-// data-plane claim, and bench-gate watches these for regressions.
+// ns/op is directly an inverse req/s-per-core: BENCH_8.json's scenario
+// in the repo-root bench ledger (bench_ledger_test.go) records the
+// ratio and checks the >= 5x data-plane claim, and bench-gate watches
+// these for regressions.
 
 // benchWireServer binds a wire server to the bench service.
 func benchWireServer(b *testing.B, opts WireOptions) *WireServer {
@@ -32,40 +31,21 @@ func benchWireServer(b *testing.B, opts WireOptions) *WireServer {
 	return ws
 }
 
-// benchHTTPServer exposes the bench service through the same JSON
-// /route surface cmd/slserve serves (query params in, JSON out, the
-// full encode on every response). Address parsing here is plain
-// integers — cheaper than slserve's bit-string parse, which only
-// biases the comparison AGAINST the wire path.
-func benchHTTPServer(b *testing.B) *httptest.Server {
+// benchHTTPServer exposes the bench service through the handlers
+// cmd/slserve serves (MountHTTP), and returns each node's address in
+// the topology's notation so clients build the same URLs slserve's do.
+func benchHTTPServer(b *testing.B) (*httptest.Server, []string) {
 	b.Helper()
 	svc := benchService(b, Options{})
 	mux := http.NewServeMux()
-	mux.HandleFunc("/route", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		src, err1 := strconv.Atoi(q.Get("src"))
-		dst, err2 := strconv.Atoi(q.Get("dst"))
-		if err1 != nil || err2 != nil {
-			http.Error(w, "bad node", http.StatusBadRequest)
-			return
-		}
-		rt, err := svc.RouteCtx(r.Context(), topo.NodeID(src), topo.NodeID(dst))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"generation": svc.Generation(),
-			"outcome":    rt.Outcome.String(),
-			"condition":  rt.Condition.String(),
-			"distance":   rt.Hamming,
-			"hops":       rt.Len(),
-		})
-	})
+	svc.MountHTTP(mux)
 	hs := httptest.NewServer(mux)
 	b.Cleanup(hs.Close)
-	return hs
+	addrs := make([]string, svc.Topology().Nodes())
+	for i := range addrs {
+		addrs[i] = svc.Topology().Format(topo.NodeID(i))
+	}
+	return hs, addrs
 }
 
 // BenchmarkServeWire is the headline data-plane number: parallel
@@ -163,7 +143,7 @@ func BenchmarkServeWireBatch(b *testing.B) {
 // BenchmarkServeHTTPRoute is the HTTP/JSON baseline on the same
 // workload: parallel keep-alive clients, one GET /route per op.
 func BenchmarkServeHTTPRoute(b *testing.B) {
-	hs := benchHTTPServer(b)
+	hs, addrs := benchHTTPServer(b)
 	tr := &http.Transport{MaxIdleConns: 64, MaxIdleConnsPerHost: 64}
 	defer tr.CloseIdleConnections()
 	client := &http.Client{Transport: tr}
@@ -175,7 +155,7 @@ func BenchmarkServeHTTPRoute(b *testing.B) {
 		i := uint32(0)
 		for pb.Next() {
 			i++
-			url := fmt.Sprintf("%s/route?src=%d&dst=%d", hs.URL, i%1024, (i*7)%1024)
+			url := fmt.Sprintf("%s/route?src=%s&dst=%s", hs.URL, addrs[i%1024], addrs[(i*7)%1024])
 			resp, err := client.Get(url)
 			if err != nil {
 				b.Fatal(err)
